@@ -64,7 +64,11 @@
 // backend, tolerance under SIMD — see the batched-kernel determinism
 // policy in kern.hpp; any build), the FBSM speedup must be ≥4x
 // (optimized builds), and under --baseline the batched FBSM
-// solves/sec may not regress >25%.
+// solves/sec may not regress >25%. Case batch_fbsm_b7 runs the first
+// seven problems as one ragged batch, interleaved with all eight (order
+// alternating per rep), both at a fixed FBSM iteration count; the
+// median paired wall ratio B=7 / B=8 must stay ≤1.5 (optimized SIMD
+// builds).
 //
 // Suite "stream" (report BENCH_pr10.json): the online streaming
 // control loop (src/stream) on a scripted growth+churn+drift scenario.
@@ -100,6 +104,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -168,6 +173,7 @@ struct CaseResult {
   // Batch-solver suite fields.
   double solves_per_sec = -1.0;
   double speedup_vs_sequential = -1.0;
+  double wall_ratio_vs_b8 = -1.0;  ///< ragged batch wall / full batch wall
   // Stream-suite fields.
   double events_per_sec = -1.0;
   double p50_ms = -1.0;
@@ -380,6 +386,9 @@ std::string to_json(const std::vector<CaseResult>& cases, bool optimized) {
     }
     if (r.speedup_vs_sequential >= 0.0) {
       json << ",\"speedup_vs_sequential\":" << r.speedup_vs_sequential;
+    }
+    if (r.wall_ratio_vs_b8 >= 0.0) {
+      json << ",\"wall_ratio_vs_b8\":" << r.wall_ratio_vs_b8;
     }
     if (r.events_per_sec >= 0.0) {
       json << ",\"events_per_sec\":" << r.events_per_sec;
@@ -1294,6 +1303,54 @@ int run_batch_suite(const std::string& out_path,
     }
   }
 
+  // Ragged width: the first 7 problems against all 8, FBSM with both
+  // tolerances 0 and a fixed iteration cap, so the two widths run the
+  // same number of lockstep iterations and the wall ratio is the price
+  // of a 7-lane batch relative to a full one. Interleaved reps, median
+  // of the paired ratios, as for the speedup above; the reps alternate
+  // which width runs first so an order effect cancels, and there are at
+  // least nine (each solve takes tens of ms).
+  double ragged_ratio = 0.0;
+  {
+    constexpr std::size_t kRaggedLanes = 7;
+    auto options = small_solve_options();
+    options.tolerance = 0.0;
+    options.j_tolerance = 0.0;
+    options.max_iterations = 30;
+    const std::span<const control::BatchProblem> full(problems);
+    const auto ragged = full.first(kRaggedLanes);
+    control::solve_optimal_control_batch(model.profile(), ragged, tf,
+                                         options, /*lanes=*/8);
+    std::vector<double> ragged_samples, ratios;
+    std::size_t iterations = 0;
+    const std::size_t reps = std::max<std::size_t>(repeat, 9);
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      double ms[2] = {0.0, 0.0};  // [full, ragged]
+      for (std::size_t k = 0; k < 2; ++k) {
+        const std::size_t ragged_run = (rep + k) % 2;
+        const auto start = Clock::now();
+        const auto reports = control::solve_optimal_control_batch(
+            model.profile(), ragged_run ? ragged : full, tf, options,
+            /*lanes=*/8);
+        ms[ragged_run] = ms_since(start);
+        if (ragged_run) iterations = reports[0].result.iterations;
+      }
+      ragged_samples.push_back(ms[1]);
+      ratios.push_back(ms[1] / ms[0]);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    ragged_ratio = ratios[ratios.size() / 2];
+    CaseResult ragged_case;
+    ragged_case.name = "batch_fbsm_b7";
+    ragged_case.wall_ms =
+        *std::min_element(ragged_samples.begin(), ragged_samples.end());
+    ragged_case.iterations = static_cast<std::int64_t>(iterations);
+    ragged_case.solves_per_sec =
+        static_cast<double>(kRaggedLanes) / (ragged_case.wall_ms * 1e-3);
+    ragged_case.wall_ratio_vs_b8 = ragged_ratio;
+    cases.push_back(ragged_case);
+  }
+
   const std::string report = to_json(cases, optimized);
   std::fputs(report.c_str(), stdout);
   {
@@ -1309,16 +1366,16 @@ int run_batch_suite(const std::string& out_path,
   if (!equivalent) return 1;  // correctness gates hold in any build
   if (!optimized) {
     std::fprintf(stderr,
-                 "bench_driver: batch speedup/baseline gates skipped "
-                 "(unoptimized build)\n");
+                 "bench_driver: batch speedup, ragged-width and baseline "
+                 "gates skipped (unoptimized build)\n");
     return 0;
   }
   if (kern::backend() == kern::Backend::kScalar) {
     // The scalar leg exists for the bitwise-equivalence check above;
     // cross-lane vectorization is what the 4x floor measures.
     std::fprintf(stderr,
-                 "bench_driver: batch speedup/baseline gates skipped "
-                 "(scalar backend)\n");
+                 "bench_driver: batch speedup, ragged-width and baseline "
+                 "gates skipped (scalar backend)\n");
     return 0;
   }
 
@@ -1329,6 +1386,17 @@ int run_batch_suite(const std::string& out_path,
                  "bench_driver: FAIL — batched FBSM is only %.2fx the "
                  "sequential driver at B=8 (acceptance floor 4x)\n",
                  fbsm_speedup);
+    return 1;
+  }
+  // A ragged batch runs its tail lanes in masked vector code; a 7-lane
+  // batch that costs much more than the 8-lane one is on a scalar path.
+  std::printf("batch_fbsm_b7: %.2fx the B=8 wall (ceiling 1.5x)\n",
+              ragged_ratio);
+  if (ragged_ratio > 1.5) {
+    std::fprintf(stderr,
+                 "bench_driver: FAIL — a 7-lane FBSM batch costs %.2fx the "
+                 "8-lane batch at equal iterations (ceiling 1.5x)\n",
+                 ragged_ratio);
     return 1;
   }
 

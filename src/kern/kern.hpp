@@ -33,7 +33,9 @@
 //     each lane, so every per-lane reduction keeps the scalar
 //     left-to-right order. Batched results are bit-identical across
 //     ALL backends, and each lane is bit-identical to the scalar
-//     backend's sequential one-problem solve.
+//     backend's sequential one-problem solve. Every lane count runs in
+//     the vector loop — the last vector of a ragged batch is masked —
+//     so a lane's arithmetic is the same at every batch width.
 //
 // This seam is deliberately C-shaped (raw pointers + lengths, no
 // templates in the ABI) so a future CUDA path can sit behind the same
@@ -246,9 +248,9 @@ constexpr std::size_t batch_scratch_doubles(std::size_t n,
 /// The lane count the resolved backend fills one (or two) vector
 /// registers with: 8 on every x86 backend (one zmm of doubles on
 /// AVX-512, two ymm on AVX2, and a cache-friendly unroll for scalar).
-/// Callers may batch at any lane count — SIMD kernels vectorize the
-/// main lanes and delegate the remainder to the scalar bodies — but
-/// multiples of this value keep every vector fully fed.
+/// Callers may batch at any lane count: the SIMD kernels mask the last,
+/// partial vector, so a ragged batch costs about what the full batch it
+/// rounds up to costs. Multiples of this value leave no lane idle.
 std::size_t preferred_batch_lanes();
 
 /// True when the backend's code was compiled into this binary (CMake

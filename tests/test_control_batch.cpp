@@ -6,9 +6,10 @@
 // sequential reductions reassociate where the batched ones do not) —
 // even when the lanes converge at different iterations, retire from
 // the Armijo search at different backtrack depths, or fail outright.
-// Lane independence is checked at its strongest: a batch of B problems
-// must equal B single-lane batches bitwise on EVERY backend, because
-// the batched kernels never mix lanes.
+// Lane independence is checked at its strongest: every lane of a ragged
+// batch, and every single-lane batch, must equal the same problem inside
+// a full 8-lane batch bitwise on EVERY backend, because the batched
+// kernels never mix lanes.
 #include "control/batch_sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -102,36 +103,61 @@ void expect_matches_sequential(const BatchSolveReport& rep,
   }
 }
 
-void expect_lane_equals_single_lane_batch(const SweepAlgorithm algorithm) {
+void expect_same_lane(const BatchSolveReport& got,
+                      const BatchSolveReport& want, std::size_t width,
+                      std::size_t lane) {
+  ASSERT_FALSE(got.failed) << got.error;
+  ASSERT_FALSE(want.failed) << want.error;
+  // Bitwise on ANY backend: the batched kernels never mix lanes, so
+  // lane width cannot change a lane's arithmetic.
+  EXPECT_TRUE(bitwise_equal(got.result.epsilon1, want.result.epsilon1))
+      << "lane " << lane << " epsilon1 differs at batch width " << width;
+  EXPECT_TRUE(bitwise_equal(got.result.epsilon2, want.result.epsilon2))
+      << "lane " << lane << " epsilon2 differs at batch width " << width;
+  EXPECT_EQ(got.result.cost.total(), want.result.cost.total())
+      << "lane " << lane << " width " << width;
+  EXPECT_EQ(got.result.iterations, want.result.iterations)
+      << "lane " << lane << " width " << width;
+  EXPECT_EQ(got.result.converged, want.result.converged)
+      << "lane " << lane << " width " << width;
+}
+
+// Every lane of a ragged batch — widths 5, 6, 7 and 9, each solved as
+// ONE batch, so its last vector is masked on both SIMD widths (behind a
+// full vector at 5–7 on AVX2 and at 9 on both) — and every single-lane
+// batch must equal the same problem inside a full 8-lane batch.
+void expect_lane_independent_of_batch_width(const SweepAlgorithm algorithm) {
+  constexpr std::size_t kFull = 8;
   const auto profile = small_profile();
-  const auto problems = divergent_problems(5);
+  const auto problems = divergent_problems(kFull + 1);
   SweepOptions options = fast_options();
   options.algorithm = algorithm;
   const double tf = 30.0;
+  const auto solve = [&](std::size_t lo, std::size_t hi) {
+    const std::vector<BatchProblem> chunk(problems.begin() + lo,
+                                          problems.begin() + hi);
+    return solve_optimal_control_batch(profile, chunk, tf, options,
+                                       /*lanes=*/chunk.size());
+  };
 
-  const auto batched =
-      solve_optimal_control_batch(profile, problems, tf, options);
-  ASSERT_EQ(batched.size(), problems.size());
+  // Problems 0–7 in one full batch, problem 8 in the full batch 1–8.
+  const auto full_lo = solve(0, kFull);
+  const auto full_hi = solve(1, kFull + 1);
+  const auto reference = [&](std::size_t p) -> const BatchSolveReport& {
+    return p < kFull ? full_lo[p] : full_hi[p - 1];
+  };
+
+  for (const std::size_t width : {std::size_t{5}, std::size_t{6},
+                                  std::size_t{7}, std::size_t{9}}) {
+    const auto batched = solve(0, width);
+    ASSERT_EQ(batched.size(), width);
+    for (std::size_t p = 0; p < width; ++p) {
+      expect_same_lane(batched[p], reference(p), width, p);
+    }
+  }
   for (std::size_t p = 0; p < problems.size(); ++p) {
-    const std::vector<BatchProblem> one(1, problems[p]);
-    const auto single =
-        solve_optimal_control_batch(profile, one, tf, options);
-    ASSERT_FALSE(batched[p].failed) << batched[p].error;
-    ASSERT_FALSE(single[0].failed) << single[0].error;
-    // Bitwise on ANY backend: the batched kernels never mix lanes, so
-    // lane width cannot change a lane's arithmetic.
-    EXPECT_TRUE(bitwise_equal(batched[p].result.epsilon1,
-                              single[0].result.epsilon1))
-        << "lane " << p << " epsilon1 depends on batch width";
-    EXPECT_TRUE(bitwise_equal(batched[p].result.epsilon2,
-                              single[0].result.epsilon2))
-        << "lane " << p << " epsilon2 depends on batch width";
-    EXPECT_EQ(batched[p].result.cost.total(), single[0].result.cost.total())
-        << "lane " << p;
-    EXPECT_EQ(batched[p].result.iterations, single[0].result.iterations)
-        << "lane " << p;
-    EXPECT_EQ(batched[p].result.converged, single[0].result.converged)
-        << "lane " << p;
+    const auto single = solve(p, p + 1);
+    expect_same_lane(single[0], reference(p), 1, p);
   }
 }
 
@@ -185,11 +211,11 @@ TEST(ControlBatch, PgLanesDivergeAndMatchSequential) {
 }
 
 TEST(ControlBatch, FbsmLaneIndependentOfBatchWidth) {
-  expect_lane_equals_single_lane_batch(SweepAlgorithm::kForwardBackward);
+  expect_lane_independent_of_batch_width(SweepAlgorithm::kForwardBackward);
 }
 
 TEST(ControlBatch, PgLaneIndependentOfBatchWidth) {
-  expect_lane_equals_single_lane_batch(SweepAlgorithm::kProjectedGradient);
+  expect_lane_independent_of_batch_width(SweepAlgorithm::kProjectedGradient);
 }
 
 TEST(ControlBatch, PerLaneBoxOverridesBindPerLane) {

@@ -9,8 +9,10 @@
 // under SIMD) must match to ULP-scale tolerance; the fused RK4 step
 // kernels must be bitwise equal to the unfused kernel sequence of the
 // SAME backend.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -426,6 +428,12 @@ TEST(KernDispatch, PublishedTablesAreComplete) {
 //     lane's data — the property the batched solver's "lane l equals
 //     the sequential solve" guarantee rests on.
 
+// Batch widths that run every ragged tail of both SIMD widths — AVX2
+// remainders 1–3 and AVX-512 remainders 1–7 — alone and behind one or
+// two full vectors, plus the exact multiples 8 and 16.
+constexpr std::size_t kBatchLanes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                       12, 15, 16, 17};
+
 // Deterministic interleaved problem set: every per-group array is
 // n×lanes SoA (a[j*lanes+l]), per-lane arrays length lanes, stage
 // arrays 3×lanes stage-major.
@@ -480,21 +488,31 @@ struct BatchData {
   std::vector<double> e1s, e2s, thetas;  // stage-major 3×lanes
 };
 
+// Every batched output (and the fused steps' scratch) is allocated
+// kGuard slots past its extent, filled with kSentinel, so a test can
+// check that no kernel writes past the end.
+constexpr std::size_t kGuard = 2 * kWidestLanes;
+constexpr double kSentinel = -1234.5;
+
+std::vector<double> guarded(std::size_t size) {
+  return std::vector<double>(size + kGuard, kSentinel);
+}
+
 // Run every batched kernel once under `ops` and collect the outputs.
 struct BatchOut {
   BatchOut(const kern::Ops& ops, const BatchData& d, std::size_t n,
            std::size_t lanes, bool diagonal)
-      : dot(lanes),
-        trap(lanes),
-        knot4(4 * lanes),
-        ds(n * lanes),
-        di(n * lanes),
-        th(lanes),
-        dpsi(n * lanes),
-        dphi(n * lanes),
-        y_next(2 * n * lanes),
-        w_next(2 * n * lanes) {
-    std::vector<double> scratch(kern::batch_scratch_doubles(n, lanes));
+      : dot(guarded(lanes)),
+        trap(guarded(lanes)),
+        knot4(guarded(4 * lanes)),
+        ds(guarded(n * lanes)),
+        di(guarded(n * lanes)),
+        th(guarded(lanes)),
+        dpsi(guarded(n * lanes)),
+        dphi(guarded(n * lanes)),
+        y_next(guarded(2 * n * lanes)),
+        w_next(guarded(2 * n * lanes)),
+        scratch(guarded(kern::batch_scratch_doubles(n, lanes))) {
     ops.batch_dot(d.s.data(), d.i.data(), n, lanes, dot.data());
     ops.batch_trapezoid(d.t.data(), d.s.data(), n, lanes, trap.data());
     ops.batch_knot4(d.s.data(), d.i.data(), d.psi.data(), d.phic.data(), n,
@@ -525,7 +543,7 @@ struct BatchOut {
                                w_next.data(), scratch.data());
   }
   std::vector<double> dot, trap, knot4, ds, di, th, dpsi, dphi, y_next,
-      w_next;
+      w_next, scratch;
 };
 
 TEST(KernBatch, CrossBackendBitIdentical) {
@@ -533,9 +551,7 @@ TEST(KernBatch, CrossBackendBitIdentical) {
   for (const kern::Ops* simd : simd_backends()) {
     for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                           std::size_t{10}, std::size_t{17}}) {
-      for (std::size_t lanes :
-           {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
-            std::size_t{8}, std::size_t{11}}) {
+      for (const std::size_t lanes : kBatchLanes) {
         for (bool diagonal : {false, true}) {
           util::Xoshiro256 rng(n * 131 + lanes * 7 + (diagonal ? 1 : 0));
           const BatchData d(n, lanes, rng);
@@ -576,8 +592,7 @@ TEST(KernBatch, LaneMatchesSequentialScalarKernels) {
   for (const kern::Ops* ops : backends) {
     for (std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{10},
                           std::size_t{23}}) {
-      for (std::size_t lanes :
-           {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+      for (const std::size_t lanes : kBatchLanes) {
         for (bool diagonal : {false, true}) {
           util::Xoshiro256 rng(n * 977 + lanes * 13 + (diagonal ? 1 : 0));
           const BatchData d(n, lanes, rng);
@@ -675,6 +690,48 @@ TEST(KernBatch, LaneMatchesSequentialScalarKernels) {
               ASSERT_EQ(got.w_next[flat], w_next[j])
                   << "batch_costate_rk4_step lane " << l << " j=" << j
                   << " diagonal=" << diagonal << " backend=" << b;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Masked tail stores are the batched kernels' one way to write past an
+// output: the sentinel margin BatchOut leaves past every output (lanes,
+// n·lanes, 4·lanes for knot4, 2n·lanes for the fused steps, and the
+// scratch size) must survive every kernel on every backend.
+TEST(KernBatch, OutputsStayWithinTheirExtent) {
+  std::vector<const kern::Ops*> backends = {
+      &kern::ops(kern::Backend::kScalar)};
+  for (const kern::Ops* simd : simd_backends()) backends.push_back(simd);
+  for (const kern::Ops* ops : backends) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{10}}) {
+      for (const std::size_t lanes : kBatchLanes) {
+        for (bool diagonal : {false, true}) {
+          util::Xoshiro256 rng(n * 59 + lanes * 3 + (diagonal ? 1 : 0));
+          const BatchData d(n, lanes, rng);
+          const BatchOut got(*ops, d, n, lanes, diagonal);
+          const std::pair<const std::vector<double>*, const char*> outputs[] =
+              {{&got.dot, "batch_dot"},
+               {&got.trap, "batch_trapezoid"},
+               {&got.knot4, "batch_knot4"},
+               {&got.ds, "batch_sir_rhs.ds"},
+               {&got.di, "batch_sir_rhs.di"},
+               {&got.th, "batch_sir_rhs.theta"},
+               {&got.dpsi, "batch_costate_rhs.dpsi"},
+               {&got.dphi, "batch_costate_rhs.dphi"},
+               {&got.y_next, "batch_sir_rk4_step"},
+               {&got.w_next, "batch_costate_rk4_step"},
+               {&got.scratch, "batch fused-step scratch"}};
+          for (const auto& [v, what] : outputs) {
+            for (std::size_t x = v->size() - kGuard; x < v->size(); ++x) {
+              ASSERT_EQ((*v)[x], kSentinel)
+                  << what << " wrote past its extent at margin slot "
+                  << x - (v->size() - kGuard) << " n=" << n
+                  << " lanes=" << lanes << " diagonal=" << diagonal
+                  << " backend=" << kern::to_string(ops->backend);
             }
           }
         }
