@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "obs/metrics.hpp"
@@ -51,6 +52,10 @@ static_assert(kStepGrain % PackedCompartments::kNodesPerWord == 0,
 
 // Sentinel for "node not in this list" in the position indices.
 constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
+
+// Memoized-hazard mark for "a source changed compartment since the last
+// gather". Real hazards are finite and >= 0, so NaN never collides.
+constexpr double kStaleHazard = std::numeric_limits<double>::quiet_NaN();
 
 // Per-thread decode target for compressed-graph neighbor lists. One
 // scratch per OS thread (not per simulation): decode_neighbors resizes
@@ -247,7 +252,9 @@ void AgentSimulation::set_control_schedule(
 // non-negative IEEE doubles does not perturb it, so the result is a
 // pure function of the infected weights in CSR order under whichever
 // lane split the backend uses. Compressed graphs decode the identical
-// stored order, so the same argument covers both representations.
+// stored order, so the same argument covers both representations. The
+// frontier engine's memo stores exactly this value and is marked stale
+// whenever an input weight changes, so a reused memo is the gather.
 
 void AgentSimulation::step() {
   const obs::TraceSpan span("sim.step");
@@ -382,7 +389,7 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
   if (p_immunize > 0.0) {
     // Immunization steps: every susceptible node needs a draw, so sweep
     // all nodes like the dense engine — but the exposure count still
-    // gates the hazard gathers, which is where the edge work lives.
+    // gates the hazard lookups, and only stale ones cost a gather.
     const std::size_t n = num_nodes();
     used_chunks = (n + kStepGrain - 1) / kStepGrain;
     util::parallel_for_chunks(
@@ -400,9 +407,7 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
                   out.push_back({static_cast<graph::NodeId>(v),
                                  Compartment::kRecovered});
                 } else if (exposure_count_[v] > 0) {
-                  const auto sources = exposure_sources(v);
-                  edges += sources.size();
-                  const double hazard = gather_over(sources);
+                  const double hazard = memo_hazard(v, edges);
                   if (hazard > 0.0) {
                     const double rate = lambda_over_k_[v] * hazard;
                     if (draw.bernoulli(1.0 - std::exp(-rate * dt))) {
@@ -446,9 +451,7 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           std::uint64_t edges = 0;
           for (std::size_t at = lo; at < hi; ++at) {
             const graph::NodeId v = active_list_[at];
-            const auto sources = exposure_sources(v);
-            edges += sources.size();
-            const double hazard = gather_over(sources);
+            const double hazard = memo_hazard(v, edges);
             if (hazard > 0.0) {
               util::CounterRng draw(util::hash_mix(step_key, v));
               const double rate = lambda_over_k_[v] * hazard;
@@ -482,8 +485,9 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
 
   // Apply phase, serial and in chunk order: decisions were made against
   // the step-start state, each node appears at most once, and integer
-  // exposure-count updates commute — so the trajectory is identical for
-  // any thread count (and to the dense engine's double-buffered swap).
+  // exposure-count updates and stale marks commute — so the trajectory
+  // is identical for any thread count (and to the dense engine's
+  // double-buffered swap).
   for (std::size_t c = 0; c < used_chunks; ++c) {
     for (const Transition& t : chunk_transitions_[c]) {
       apply_transition(t.node, t.to);
@@ -520,30 +524,34 @@ void AgentSimulation::apply_transition(graph::NodeId v, Compartment to) {
   }
 }
 
+double AgentSimulation::memo_hazard(std::size_t v, std::uint64_t& edges) {
+  double& memo = hazard_[v];
+  if (std::isnan(memo)) {
+    // One fetch serves both the gather and the edge count — on
+    // compressed graphs a fetch is a varint decode.
+    const auto sources = exposure_sources(v);
+    edges += sources.size();
+    memo = gather_over(sources);
+  }
+  return memo;
+}
+
 void AgentSimulation::scatter_infectiousness(graph::NodeId u,
                                              bool became_infectious) {
   // u's out-neighbors are exactly the nodes whose exposure list
   // contains u (for undirected graphs, neighbors == exposure sources).
-  const double w = omega_over_k_[u];
+  // Every change to a gather input (u's infected weight) passes through
+  // here, so marking the targets stale keeps each memo exact.
   const auto targets = neighbors_of(u);
   for (const graph::NodeId t : targets) {
+    hazard_[t] = kStaleHazard;
     std::uint32_t& count = exposure_count_[t];
     if (became_infectious) {
-      ++count;
-      hazard_[t] += w;
-      if (count == 1 && state_.get(t) == Compartment::kSusceptible) {
+      if (++count == 1 && state_.get(t) == Compartment::kSusceptible) {
         active_add(t);
       }
-    } else {
-      --count;
-      if (count == 0) {
-        // Resynchronize: with no infected sources left the true sum is
-        // exactly zero, so any accumulated rounding drift is discarded.
-        hazard_[t] = 0.0;
-        active_remove_if_present(t);
-      } else {
-        hazard_[t] -= w;
-      }
+    } else if (--count == 0) {
+      active_remove_if_present(t);
     }
   }
   edges_scanned_ += targets.size();
@@ -585,12 +593,15 @@ void AgentSimulation::rebuild_frontier() {
   active_list_.clear();
   infected_list_.clear();
   for (std::size_t v = 0; v < n; ++v) {
+    const auto sources = exposure_sources(v);
     std::uint32_t count = 0;
-    for (const graph::NodeId u : exposure_sources(v)) {
+    for (const graph::NodeId u : sources) {
       if (state_.get(u) == Compartment::kInfected) ++count;
     }
     exposure_count_[v] = count;
-    hazard_[v] = count > 0 ? gather_hazard(v) : 0.0;
+    // With no infected source every weight is +0.0, so 0.0 is exactly
+    // the gather's result.
+    hazard_[v] = count > 0 ? gather_over(sources) : 0.0;
     const graph::NodeId id = static_cast<graph::NodeId>(v);
     if (state_.get(v) == Compartment::kInfected) {
       infected_add(id);
@@ -603,7 +614,8 @@ void AgentSimulation::rebuild_frontier() {
 double AgentSimulation::hazard(graph::NodeId v) const {
   util::require(frontier(), "hazard: frontier engine only");
   util::require(v < num_nodes(), "hazard: node out of range");
-  return hazard_[v];
+  const double memo = hazard_[v];
+  return std::isnan(memo) ? gather_over(exposure_sources(v)) : memo;
 }
 
 std::uint32_t AgentSimulation::exposure_count(graph::NodeId v) const {
@@ -626,7 +638,6 @@ AgentCheckpoint AgentSimulation::checkpoint() const {
   c.ever_infected = ever_infected_;
   c.state.resize(num_nodes());
   for (std::size_t v = 0; v < num_nodes(); ++v) c.state[v] = state_.get(v);
-  if (frontier()) c.hazard = hazard_;
   return c;
 }
 
@@ -636,10 +647,6 @@ void AgentSimulation::restore(const AgentCheckpoint& checkpoint) {
                     std::to_string(checkpoint.state.size()) +
                     " nodes, simulation has " +
                     std::to_string(num_nodes()));
-  util::require(
-      checkpoint.hazard.empty() ||
-          checkpoint.hazard.size() == num_nodes(),
-      "AgentSimulation::restore: hazard size does not match the graph");
   seed_ = checkpoint.seed;
   step_count_ = checkpoint.step_count;
   time_ = checkpoint.time;
@@ -662,17 +669,7 @@ void AgentSimulation::restore(const AgentCheckpoint& checkpoint) {
   util::require(ever_infected_ >= infected_count_,
                 "AgentSimulation::restore: ever_infected below the current "
                 "infected count — inconsistent checkpoint");
-  if (frontier()) {
-    rebuild_frontier();
-    if (!checkpoint.hazard.empty()) {
-      // Carry over the incremental sums verbatim so a resumed run's
-      // diagnostics match an uninterrupted one to the bit. Decisions
-      // never read these, so a checkpoint without them (e.g. written by
-      // the dense engine) resumes the trajectory identically anyway.
-      std::copy(checkpoint.hazard.begin(), checkpoint.hazard.end(),
-                hazard_.begin());
-    }
-  }
+  if (frontier()) rebuild_frontier();
 }
 
 std::vector<Census> AgentSimulation::run_until(double t_end) {

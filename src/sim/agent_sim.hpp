@@ -36,24 +36,27 @@
 //    Double-buffered, chunk-parallel, trivially auditable.
 //
 //  * kFrontier (default) — sparse stepping whose cost scales with the
-//    infected frontier, not the graph: an exposure count and an
-//    incremental hazard sum per node are maintained by deterministic
-//    scatter when nodes enter/leave the infected compartment, and the
-//    step only visits the current infected set plus the active set of
-//    susceptibles with an infected exposure source. A step costs
-//    O(|frontier| + |frontier edges|); on a million-node graph at low
+//    infected frontier, not the graph: a per-node exposure count is
+//    maintained by deterministic scatter when nodes enter/leave the
+//    infected compartment, and the step only visits the current
+//    infected set plus the active set of susceptibles with an infected
+//    exposure source. Each node's hazard is memoized: the same scatter
+//    marks every node it touches stale, and a decision re-gathers a node
+//    only while it is stale, so a susceptible whose sources kept their
+//    compartments costs no edge work at all. A step costs O(|frontier|)
+//    plus the CSR lists of the nodes that flipped and of the exposed
+//    susceptibles they touched; on a million-node graph at low
 //    prevalence that is ~1000× less work than the dense sweep (see
-//    docs/performance.md). When ε1(t) > 0 every susceptible can flip,
-//    so those steps degrade gracefully to a full node sweep that still
-//    skips every hazard gather outside the frontier.
+//    docs/performance.md). When ε1(t) > 0 every susceptible
+//    can flip, so those steps degrade gracefully to a full node sweep
+//    that still gathers only stale exposed nodes.
 //
-// Because the per-node draw streams are shared and the frontier's
-// infection probabilities are computed by the *same* fixed-order CSR
-// gather as the dense engine (the incremental hazard sum only gates
-// which nodes are visited — FP associativity would otherwise let the
-// two engines diverge by an ulp), the two engines produce bit-identical
-// trajectories; tests/test_sim_frontier.cpp pins this at 1/2/8 threads
-// and across checkpoint/resume.
+// Because the per-node draw streams are shared and a memoized hazard is
+// the *same* fixed-order CSR gather the dense engine computes — a
+// node's gather inputs change only when a source flips into or out of
+// I, and every such flip marks the node stale — the two engines produce
+// bit-identical trajectories; tests/test_sim_frontier.cpp pins this at
+// 1/2/8 threads and across checkpoint/resume.
 #pragma once
 
 #include <array>
@@ -114,12 +117,6 @@ struct AgentCheckpoint {
   std::array<std::uint64_t, 4> rng_state{};  ///< seeding-draw generator
   std::size_t ever_infected = 0;
   std::vector<Compartment> state;  ///< one entry per node
-  /// Frontier engines only: the incremental per-node exposure sums, so
-  /// a resumed run carries the exact accumulated values rather than a
-  /// freshly re-gathered (ulp-different) rebuild. Never consulted for
-  /// transition decisions — restoring without it (e.g. from a dense
-  /// checkpoint) still resumes the trajectory bit-identically.
-  std::vector<double> hazard;
 };
 
 class AgentSimulation {
@@ -222,14 +219,17 @@ class AgentSimulation {
 
   // ---- frontier diagnostics (benches, stress tests) -----------------
 
-  /// Cumulative CSR entries touched by hazard gathers and infection
-  /// scatters since construction. Divide a delta by the step count for
-  /// the edges-touched-per-step figure reported by the bench harness.
+  /// Cumulative CSR entries touched by step-time hazard gathers and
+  /// infection scatters since construction (frontier memo hits, the
+  /// restore rebuild and hazard() reads are not counted). Divide a
+  /// delta by the step count for the edges-touched-per-step figure
+  /// reported by the bench harness.
   std::uint64_t edges_scanned() const { return edges_scanned_; }
 
-  /// Frontier engine only: the incrementally maintained exposure sum
-  /// Σ ω(k_u)/k_u over the currently infected exposure sources of v.
-  /// Diagnostic — transition decisions use the fixed-order CSR gather.
+  /// Frontier engine only: the exposure sum Σ ω(k_u)/k_u over the
+  /// currently infected exposure sources of v — exactly the fixed-order
+  /// CSR gather the decisions use. Returns the memoized value, or
+  /// re-gathers (without caching) when v is stale.
   double hazard(graph::NodeId v) const;
 
   /// Frontier engine only: number of infected exposure sources of v.
@@ -245,10 +245,10 @@ class AgentSimulation {
   /// Restore a checkpoint captured from a simulation on the same graph
   /// with the same params (the engine may differ — trajectories are
   /// engine-invariant). Derived quantities (census counters, the
-  /// infected-weight table, exposure counts, active/infected sets) are
-  /// recomputed from the node states; the control schedule is NOT part
-  /// of the checkpoint — re-attach it before stepping if one was in
-  /// use.
+  /// infected-weight table, exposure counts, hazard memo, active/
+  /// infected sets) are recomputed from the node states; the control
+  /// schedule is NOT part of the checkpoint — re-attach it before
+  /// stepping if one was in use.
   void restore(const AgentCheckpoint& checkpoint);
 
  private:
@@ -307,16 +307,18 @@ class AgentSimulation {
                             sources.size());
   }
 
-  double gather_hazard(std::size_t v) const {
-    return gather_over(exposure_sources(v));
-  }
+  /// Frontier decision phases: v's memoized hazard, re-gathered (and
+  /// its CSR entries added to `edges`) only while v is stale. Each node
+  /// is decided by exactly one chunk, so the write-back is race-free.
+  double memo_hazard(std::size_t v, std::uint64_t& edges);
 
   /// Flip v to `to`, maintaining counters, the infected-weight table
-  /// and (frontier engine) the exposure counts / hazard sums / active
+  /// and (frontier engine) the exposure counts / hazard memo / active
   /// and infected sets. No-op when v already is in `to`.
   void apply_transition(graph::NodeId v, Compartment to);
 
-  /// Add/remove ω(k_u)/k_u exposure from every node u exposes.
+  /// Update the exposure count of every node u exposes and mark its
+  /// memoized hazard stale (u's weight in its gather just changed).
   void scatter_infectiousness(graph::NodeId u, bool became_infectious);
 
   void active_add(graph::NodeId v);
@@ -324,8 +326,8 @@ class AgentSimulation {
   void infected_add(graph::NodeId v);
   void infected_remove(graph::NodeId v);
 
-  /// Rebuild exposure counts, hazard sums and the active/infected sets
-  /// from the compartment array (restore path).
+  /// Rebuild exposure counts, the hazard memo and the active/infected
+  /// sets from the compartment array (restore path).
   void rebuild_frontier();
 
   bool frontier() const { return params_.engine == AgentEngine::kFrontier; }
@@ -353,7 +355,7 @@ class AgentSimulation {
   std::vector<double> next_infected_weight_;
   // Frontier engine incremental structures (empty under dense).
   std::vector<std::uint32_t> exposure_count_;  // infected exposure sources
-  std::vector<double> hazard_;                 // incremental exposure sum
+  std::vector<double> hazard_;                 // memoized gather, NaN: stale
   std::vector<graph::NodeId> active_list_;     // S nodes with count > 0
   std::vector<std::uint32_t> active_pos_;      // node → index, kNoPos if out
   std::vector<graph::NodeId> infected_list_;

@@ -4,9 +4,11 @@
 //   agent.meta    format guard: num_nodes · num_arcs · directed · dt ·
 //                 seed · step_count · time · rng state · ever_infected
 //   agent.state   one byte per node (compartment)
-//   agent.hazard  (optional, frontier engine) one f64 per node — the
-//                 incremental exposure sums; absent sections restore
-//                 fine because transition decisions never read them
+//
+// Files from earlier versions may also carry an `agent.hazard` section
+// (per-node incremental exposure sums). Restore ignores it: the frontier
+// engine re-gathers every hazard from the node states, so a drifted or
+// corrupt stored sum can never become a decision input.
 //
 // The meta section pins the run configuration: restoring onto a
 // simulation whose graph shape or dt differs fails with util::IoError

@@ -4,18 +4,23 @@
 // provably cannot flip. These tests pin that equivalence across thread
 // counts, graph directedness, control-schedule mode switches, and
 // checkpoint/resume (including resuming a dense checkpoint under the
-// frontier engine), and stress-check the incremental exposure
-// structures against fresh recomputation.
+// frontier engine), stress-check the incremental exposure counts and
+// the memoized hazards against fresh recomputation, and pin the memo's
+// saving with the deterministic edges_scanned() work counter.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "io/container.hpp"
+#include "kern/kern.hpp"
 #include "sim/agent_sim.hpp"
 #include "sim/checkpoint.hpp"
 #include "util/parallel.hpp"
@@ -237,9 +242,9 @@ TEST(SimFrontier, FrontierCheckpointRoundTripsHazardBitwise) {
   load_agent_checkpoint(resumed, file.path);
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
     const auto id = static_cast<graph::NodeId>(v);
-    // Bitwise: the incremental sums are carried verbatim through the
-    // agent.hazard section, not re-gathered (which could differ by an
-    // ulp after long incremental histories).
+    // Bitwise: both sides are the same fixed-order gather — the
+    // uninterrupted run's memo (or its re-gather when stale) and the
+    // resumed run's rebuild from the restored node states.
     EXPECT_EQ(simulation.hazard(id), resumed.hazard(id)) << "node " << v;
     EXPECT_EQ(simulation.exposure_count(id), resumed.exposure_count(id));
   }
@@ -276,21 +281,74 @@ TEST(SimFrontier, DenseCheckpointResumesUnderFrontierEngine) {
   EXPECT_EQ(resumed.ever_infected(), reference.ever_infected);
 }
 
+TEST(SimFrontier, StaleHazardSectionIsIgnoredOnResume) {
+  // Older writers stored the incremental hazard sums in an agent.hazard
+  // section. Restore must never trust them: a container whose section
+  // holds garbage resumes onto the uninterrupted trajectory bit for bit,
+  // with every hazard re-gathered from the node states.
+  const auto g = test_graph();
+  auto params = base_params(0.02, 0.15);
+  params.engine = AgentEngine::kFrontier;
+  const auto reference =
+      run_engine(g, params, AgentEngine::kFrontier, 1, 80);
+
+  TempFile file("frontier_bad_hazard.ckpt");
+  AgentSimulation simulation(g, params, /*seed=*/321);
+  simulation.seed_random_infections(10);
+  for (int s = 0; s < 40; ++s) simulation.step();
+  {
+    io::ContainerWriter writer(kAgentRunKind);
+    append_agent_checkpoint(writer, simulation);
+    io::ByteWriter hazard;
+    hazard.u64(g.num_nodes());
+    for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+      hazard.f64(v % 3 == 0   ? 1e300
+                 : v % 3 == 1 ? -1.0
+                              : std::numeric_limits<double>::quiet_NaN());
+    }
+    writer.add_section("agent.hazard", std::move(hazard));
+    writer.write_file(file.path);
+  }
+
+  ThreadCountGuard guard(2);
+  AgentSimulation resumed(g, params, /*seed=*/0);
+  load_agent_checkpoint(resumed, file.path);
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const auto id = static_cast<graph::NodeId>(v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(simulation.hazard(id)),
+              std::bit_cast<std::uint64_t>(resumed.hazard(id)))
+        << "node " << v;
+  }
+  for (int s = 40; s < 80; ++s) resumed.step();
+  std::vector<Compartment> final_state;
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    final_state.push_back(resumed.state(static_cast<graph::NodeId>(v)));
+  }
+  EXPECT_EQ(final_state, reference.final_state);
+  EXPECT_EQ(resumed.ever_infected(), reference.ever_infected);
+}
+
 // ---- incremental-structure stress test -----------------------------
 
-TEST(SimFrontier, IncrementalHazardTracksFreshGatherUnderStress) {
+TEST(SimFrontier, MemoizedHazardIsExactGatherUnderStress) {
   // Randomized workload: spreading dynamics interleaved with external
-  // seeding and blocking (the operations that scatter exposure deltas).
-  // Every few steps, cross-check the incremental exposure counts
-  // (exactly) and hazard sums (to accumulated-rounding tolerance)
-  // against a fresh recomputation from the node states, and verify the
-  // active set is exactly {susceptible v : exposure_count(v) > 0}.
+  // seeding and blocking (the operations that scatter exposure deltas),
+  // under a schedule that switches ε1 on and off so both decision paths
+  // (full sweep and active list) write memos. Every few steps,
+  // cross-check the exposure counts and the hazards — bit for bit, as
+  // the dispatched gather_sum kernel over v's CSR list — against a fresh
+  // recomputation from the node states, and verify the active set is
+  // exactly {susceptible v : exposure_count(v) > 0}.
   util::Xoshiro256 graph_rng(29);
   const auto g = graph::barabasi_albert(1200, 4, graph_rng);
   auto params = base_params(0.0, 0.2);
   params.engine = AgentEngine::kFrontier;
   AgentSimulation simulation(g, params, /*seed=*/555);
   simulation.seed_random_infections(20);
+  simulation.set_control_schedule(
+      std::make_shared<const core::FunctionControl>(
+          [](double t) { return std::fmod(t, 2.0) < 1.0 ? 0.0 : 0.05; },
+          [](double) { return 0.2; }));
 
   std::vector<double> omega_over_k(g.num_nodes(), 0.0);
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
@@ -299,6 +357,8 @@ TEST(SimFrontier, IncrementalHazardTracksFreshGatherUnderStress) {
     omega_over_k[v] = k > 0.0 ? params.omega(k) / k : 0.0;
   }
 
+  const kern::Ops& ops = kern::ops();
+  std::vector<double> infected_weight(g.num_nodes());
   util::Xoshiro256 chaos(31337);
   for (int round = 0; round < 40; ++round) {
     for (int s = 0; s < 3; ++s) simulation.step();
@@ -315,23 +375,27 @@ TEST(SimFrontier, IncrementalHazardTracksFreshGatherUnderStress) {
       simulation.block_nodes(touched);
     }
 
+    for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+      infected_weight[u] =
+          simulation.state(static_cast<graph::NodeId>(u)) ==
+                  Compartment::kInfected
+              ? omega_over_k[u]
+              : 0.0;
+    }
     std::size_t expected_active = 0;
     for (std::size_t v = 0; v < g.num_nodes(); ++v) {
       const auto id = static_cast<graph::NodeId>(v);
+      const auto sources = g.neighbors(id);
       std::uint32_t count = 0;
-      double fresh = 0.0;
-      for (const graph::NodeId u : g.neighbors(id)) {
-        if (simulation.state(u) == Compartment::kInfected) {
-          ++count;
-          fresh += omega_over_k[u];
-        }
+      for (const graph::NodeId u : sources) {
+        if (simulation.state(u) == Compartment::kInfected) ++count;
       }
+      const double fresh = ops.gather_sum(infected_weight.data(),
+                                          sources.data(), sources.size());
       ASSERT_EQ(simulation.exposure_count(id), count) << "node " << v;
-      ASSERT_NEAR(simulation.hazard(id), fresh, 1e-9) << "node " << v;
-      if (count == 0) {
-        // The count-zero reset pins the incremental sum to exactly 0.
-        ASSERT_EQ(simulation.hazard(id), 0.0) << "node " << v;
-      }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(simulation.hazard(id)),
+                std::bit_cast<std::uint64_t>(fresh))
+          << "node " << v;
       if (simulation.state(id) == Compartment::kSusceptible && count > 0) {
         ++expected_active;
       }
@@ -366,6 +430,85 @@ TEST(SimFrontier, EdgesScannedStaysNearFrontierScale) {
   const auto frontier = edges_per_step(AgentEngine::kFrontier);
   EXPECT_GT(dense, 10 * frontier)
       << "dense=" << dense << " frontier=" << frontier;
+}
+
+TEST(SimFrontier, EdgesScannedStaysNearFrontierScaleWithImmunization) {
+  // ε1 > 0 puts the frontier engine on its full-sweep path every step.
+  // The sweep visits every node, but the hazard memo means it gathers
+  // only exposed susceptibles whose sources changed compartment. At 1%
+  // prevalence re-gathering every exposed susceptible each step would
+  // cost about a sixth of the dense sweep; the memo must stay at least
+  // 10x below dense.
+  util::Xoshiro256 rng(41);
+  const auto g = graph::barabasi_albert(20000, 3, rng);
+  auto params = base_params(0.01, 0.05);
+  params.lambda = core::Acceptance::linear(0.2);  // slow growth
+
+  auto edges_per_step = [&](AgentEngine engine) {
+    AgentParams p = params;
+    p.engine = engine;
+    AgentSimulation simulation(g, p, /*seed=*/11);
+    simulation.seed_random_infections(200);
+    // The first step gathers every freshly seeded neighborhood once.
+    simulation.step();
+    const std::uint64_t before = simulation.edges_scanned();
+    for (int s = 0; s < 10; ++s) simulation.step();
+    return (simulation.edges_scanned() - before) / 10;
+  };
+
+  const auto dense = edges_per_step(AgentEngine::kDense);
+  const auto frontier = edges_per_step(AgentEngine::kFrontier);
+  EXPECT_GE(dense, 10 * frontier)
+      << "dense=" << dense << " frontier=" << frontier;
+}
+
+TEST(SimFrontier, StepAfterQuietStepGathersNothing) {
+  // After a step with no transitions every exposed susceptible holds a
+  // fresh memo, so the next step's only CSR work is the scatter of its
+  // own flips into or out of I: Σ degree over those nodes, not one
+  // gathered entry more. Checked on both decision paths (ε1 tiny but
+  // positive takes the full sweep).
+  util::Xoshiro256 rng(43);
+  const auto g = graph::barabasi_albert(3000, 3, rng);
+  for (const double eps1 : {0.0, 1e-4}) {
+    auto params = base_params(eps1, 0.02);
+    params.lambda = core::Acceptance::linear(0.05);
+    params.engine = AgentEngine::kFrontier;
+    AgentSimulation simulation(g, params, /*seed=*/13);
+    simulation.seed_random_infections(5);
+
+    auto snapshot = [&] {
+      std::vector<Compartment> states(g.num_nodes());
+      for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+        states[v] = simulation.state(static_cast<graph::NodeId>(v));
+      }
+      return states;
+    };
+    std::vector<Compartment> before = snapshot();
+    bool previous_quiet = false;
+    int checked = 0;
+    for (int s = 0; s < 300 && simulation.census().infected > 0; ++s) {
+      const std::size_t active = simulation.active_count();
+      const std::uint64_t edges_before = simulation.edges_scanned();
+      simulation.step();
+      const std::vector<Compartment> after = snapshot();
+      std::uint64_t scatter = 0;
+      for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+        if ((before[v] == Compartment::kInfected) !=
+            (after[v] == Compartment::kInfected)) {
+          scatter += g.degree(static_cast<graph::NodeId>(v));
+        }
+      }
+      if (previous_quiet && active > 0) {
+        EXPECT_EQ(simulation.edges_scanned() - edges_before, scatter)
+            << "eps1=" << eps1 << " step " << s;
+        ++checked;
+      }
+      previous_quiet = after == before;
+      before = after;
+    }
+    EXPECT_GT(checked, 10) << "eps1=" << eps1;
+  }
 }
 
 }  // namespace
