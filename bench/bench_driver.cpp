@@ -35,9 +35,10 @@
 // Suite "kernels" (report BENCH_pr6.json): the src/kern dispatch-table
 // microbench. Every kernel in the table runs once per backend the
 // binary carries AND the CPU supports, on L2-resident problem sizes
-// (n = 4096 doubles; 65536-node census), reporting nominal GB/s,
-// kernel calls per second, and — for the SIMD backends — the speedup
-// over the scalar backend on the same data. Gates (optimized builds):
+// (n = 4096 doubles; 65536-node census and frontier sweep draws),
+// reporting nominal GB/s, kernel calls per second, and — for the SIMD
+// backends — the speedup over the scalar backend on the same data.
+// Gates (optimized builds):
 // every SIMD kernel must at least match scalar, and under --baseline
 // the fused RK4 kernels of the auto-selected backend may not regress
 // >25% in evals/sec.
@@ -99,6 +100,7 @@
 // bench run doubles as an instrumentation fixture.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -464,6 +466,8 @@ struct KernelData {
   double *tgrid, *yvals, *weights;
   std::uint32_t* idx;
   std::uint64_t* words;
+  std::uint32_t* counts;        // per-node exposure counts (sweep_draws)
+  std::uint64_t* masks;         // two kNodes-bit masks (sweep_draws)
   double e1[3] = {0.05, 0.06, 0.07};
   double e2[3] = {0.10, 0.11, 0.12};
   double theta[3] = {0.21, 0.22, 0.23};
@@ -511,6 +515,11 @@ struct KernelData {
       const std::uint64_t r = rng();
       words[i] = r & ~((r & 0x5555555555555555ULL) << 1);
     }
+    counts = reinterpret_cast<std::uint32_t*>(take(kNodes / 2));
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      counts[i] = rng.bernoulli(0.5) ? 0u : 1u + rng() % 8;
+    }
+    masks = reinterpret_cast<std::uint64_t*>(take(kNodes / 32));
   }
 
  private:
@@ -625,6 +634,22 @@ std::vector<CaseResult> run_kernel_backend(const kern::Ops& ops,
         std::uint64_t out[2];
         ops.census2(d.words, KernelData::kNodes, out);
         g_kernel_sink = static_cast<double>(out[0]);
+      }));
+  // The frontier engine's full-sweep draws at the spread workload's
+  // per-step immunization/blocking probabilities (ε1 = 0.02, ε2 = 0.05,
+  // dt = 0.1): packed states and counts in, two bit masks out.
+  const std::uint64_t t_immunize =
+      util::bernoulli_threshold(1.0 - std::exp(-0.02 * 0.1));
+  const std::uint64_t t_block =
+      util::bernoulli_threshold(1.0 - std::exp(-0.05 * 0.1));
+  cases.push_back(run_kernel_case(
+      "sweep_draws", b, static_cast<double>(KernelData::kNodes) * 4.5,
+      repeat, [&] {
+        std::uint64_t* recover = d.masks;
+        std::uint64_t* exposed = d.masks + KernelData::kNodes / 64;
+        ops.sweep_draws(d.words, d.counts, 0, KernelData::kNodes, 0x5EED,
+                        t_immunize, t_block, recover, exposed);
+        g_kernel_sink = static_cast<double>(recover[0] ^ exposed[0]);
       }));
   return cases;
 }

@@ -1,10 +1,10 @@
 // Runtime-dispatched SIMD kernel library for the dense hot loops.
 //
 // Every engine's inner loops — the fused SIR/costate RHS kernels, the
-// agent-sim hazard gather, the RK4 stage combines, trajectory
-// interpolation, the objective/ensemble reductions, and the packed
-// 2-bit compartment census — funnel through the function-pointer table
-// returned by ops(). The table is resolved exactly once per process:
+// agent-sim hazard gather and sweep draws, the RK4 stage combines,
+// trajectory interpolation, the objective/ensemble reductions, and the
+// packed 2-bit compartment census — funnel through the function-pointer
+// table returned by ops(). The table is resolved exactly once per process:
 // the best backend the CPU supports (CPUID via __builtin_cpu_supports)
 // unless the RUMOR_KERNEL environment variable forces one of
 // scalar|avx2|avx512. A forced backend the binary was not compiled
@@ -17,10 +17,16 @@
 //     arithmetic bit for bit — RUMOR_KERNEL=scalar is the reference.
 //   * Elementwise kernels (lerp, axpy_out, combine2, rk4_combine,
 //     accumulate, accumulate_sq, the elementwise half of sir_rhs /
-//     costate_rhs) and the integer census are bit-identical across ALL
-//     backends: each output element is the same IEEE operation
-//     sequence per lane, compiled with -ffp-contract=off so no backend
-//     fuses a multiply-add the others do not.
+//     costate_rhs) are bit-identical across ALL backends: each output
+//     element is the same IEEE operation sequence per lane, compiled
+//     with -ffp-contract=off so no backend fuses a multiply-add the
+//     others do not.
+//   * Integer kernels (census2, sweep_draws, varint_decode_deltas) are
+//     exact, so every backend gives the same bits: there is no rounding
+//     to reassociate. sweep_draws replays util::CounterRng's splitmix64
+//     arithmetic lane by lane and compares integers only, which is what
+//     lets the frontier engine's draws stay bit-identical to the dense
+//     engine's CounterRng::bernoulli calls on any backend.
 //   * Reductions (dot, sum, gather_sum, trapezoid, knot4, and the Θ /
 //     coupling sums inside the fused RHS kernels) reassociate under
 //     SIMD: lane-parallel partial sums differ from the scalar
@@ -147,6 +153,19 @@ struct Ops {
   /// masked off.
   void (*census2)(const std::uint64_t* words, std::size_t nnodes,
                   std::uint64_t out[2]);
+  /// The agent frontier engine's full-sweep draws for nodes [lo, hi),
+  /// lo a multiple of 64. Each node v in S or I takes the first draw x
+  /// of its counter stream util::CounterRng(util::hash_mix(step_key,
+  /// v)) and compares m = x >> 11 with a util::bernoulli_threshold:
+  /// bit v − lo of `recover` is set for S nodes with m < t_immunize and
+  /// I nodes with m < t_block; bit v − lo of `exposed` for S nodes with
+  /// m >= t_immunize and counts[v] > 0. `words` is the packed
+  /// compartment array (as census2); recovered nodes set no bit. Writes
+  /// ceil((hi − lo) / 64) words to each mask, bits at or past hi zero.
+  void (*sweep_draws)(const std::uint64_t* words, const std::uint32_t* counts,
+                      std::size_t lo, std::size_t hi, std::uint64_t step_key,
+                      std::uint64_t t_immunize, std::uint64_t t_block,
+                      std::uint64_t* recover, std::uint64_t* exposed);
   /// Decode `count` zigzag-delta LEB128 varints (io/varint.hpp encodes
   /// them): out[i] = out[i-1] + unzigzag(varint_i), chained from `base`.
   /// Returns the bytes consumed from src, or 0 when the stream is

@@ -406,6 +406,75 @@ void census2(const std::uint64_t* words, std::size_t nnodes,
   out[1] = tail[1] + lanes[0] + lanes[1] + lanes[2] + lanes[3];
 }
 
+/// 64-bit lane multiply by a constant from 32-bit products (AVX2 has
+/// no vpmullq): lo·lo + ((hi·lo + lo·hi) << 32), mod 2^64.
+inline __m256i mullo64(__m256i a, std::uint64_t b) {
+  const __m256i b_lo =
+      _mm256_set1_epi64x(static_cast<long long>(b & 0xFFFFFFFFULL));
+  const __m256i b_hi = _mm256_set1_epi64x(static_cast<long long>(b >> 32));
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b_lo),
+                       _mm256_mul_epu32(a, b_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, b_lo),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+/// splitmix64's output mix, 4 lanes.
+inline __m256i mix64(__m256i z) {
+  z = mullo64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
+              0xBF58476D1CE4E5B9ULL);
+  z = mullo64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
+              0x94D049BB133111EBULL);
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+}
+
+/// 4-bit mask of lanes with m < t. Both sides are below 2^63 (m has 53
+/// bits, a threshold at most 2^53), so the signed compare is exact.
+inline std::uint64_t below_mask(__m256i m, __m256i t) {
+  return static_cast<std::uint64_t>(
+      _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(t, m))));
+}
+
+void sweep_draws(const std::uint64_t* words, const std::uint32_t* counts,
+                 std::size_t lo, std::size_t hi, std::uint64_t step_key,
+                 std::uint64_t t_immunize, std::uint64_t t_block,
+                 std::uint64_t* recover, std::uint64_t* exposed) {
+  const __m256i golden = _mm256_set1_epi64x(0x9E3779B97F4A7C15LL);
+  const __m256i key = _mm256_set1_epi64x(static_cast<long long>(step_key));
+  const __m256i t_imm =
+      _mm256_set1_epi64x(static_cast<long long>(t_immunize));
+  const __m256i t_blk = _mm256_set1_epi64x(static_cast<long long>(t_block));
+  const __m256i iota = _mm256_setr_epi64x(0, 1, 2, 3);
+  scalar::sweep_draws_by_word(
+      words, counts, lo, hi, step_key, t_immunize, t_block, recover, exposed,
+      [&](std::size_t base) {
+        scalar::DrawMasks64 d{0, 0, 0};
+        for (std::size_t g = 0; g < 64; g += kLanes) {
+          const __m256i v = _mm256_add_epi64(
+              _mm256_set1_epi64x(static_cast<long long>(base + g)), iota);
+          // CounterRng(hash_mix(step_key, v)).next() >> 11, where
+          // hash_mix(a, b) = splitmix64(a ^ (splitmix64(b) + golden)).
+          const __m256i hashed = mix64(_mm256_add_epi64(v, golden));
+          const __m256i stream = mix64(_mm256_add_epi64(
+              _mm256_xor_si256(key, _mm256_add_epi64(hashed, golden)),
+              golden));
+          const __m256i m = _mm256_srli_epi64(
+              mix64(_mm256_add_epi64(stream, golden)), 11);
+          d.below_immunize |= below_mask(m, t_imm) << g;
+          d.below_block |= below_mask(m, t_blk) << g;
+        }
+        for (std::size_t q = 0; q < 64; q += 8) {
+          const __m256i c = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(counts + base + q));
+          const auto zero = static_cast<std::uint64_t>(_mm256_movemask_ps(
+              _mm256_castsi256_ps(
+                  _mm256_cmpeq_epi32(c, _mm256_setzero_si256()))));
+          d.has_source |= (~zero & 0xFFULL) << q;
+        }
+        return d;
+      });
+}
+
 // --- batched lane-per-problem kernels -------------------------------
 // Vectorization is across problems: each __m256d holds the same
 // component of 4 adjacent lanes, and the component loop runs
@@ -660,6 +729,7 @@ const Ops& avx2_ops() {
       accumulate,
       accumulate_sq,
       census2,
+      sweep_draws,
       simd::varint_decode_deltas_avx2,
       batch_dot,
       batch_trapezoid,

@@ -415,6 +415,63 @@ void census2(const std::uint64_t* words, std::size_t nnodes,
                          _mm512_reduce_add_epi64(recovered));
 }
 
+/// Logical right shift of every lane. GCC 12's _mm512_srli_epi64 passes
+/// an _mm512_undefined_epi32() source that -Wuninitialized reports; the
+/// all-lanes zero-masked form compiles to the same unmasked vpsrlq.
+inline __m512i srli64(__m512i z, unsigned shift) {
+  return _mm512_maskz_srli_epi64(0xFF, z, shift);
+}
+
+/// splitmix64's output mix, 8 lanes (vpmullq needs AVX512DQ).
+inline __m512i mix64(__m512i z) {
+  z = _mm512_mullo_epi64(_mm512_xor_si512(z, srli64(z, 30)),
+                         _mm512_set1_epi64(0xBF58476D1CE4E5B9LL));
+  z = _mm512_mullo_epi64(_mm512_xor_si512(z, srli64(z, 27)),
+                         _mm512_set1_epi64(0x94D049BB133111EBLL));
+  return _mm512_xor_si512(z, srli64(z, 31));
+}
+
+void sweep_draws(const std::uint64_t* words, const std::uint32_t* counts,
+                 std::size_t lo, std::size_t hi, std::uint64_t step_key,
+                 std::uint64_t t_immunize, std::uint64_t t_block,
+                 std::uint64_t* recover, std::uint64_t* exposed) {
+  const __m512i golden = _mm512_set1_epi64(0x9E3779B97F4A7C15LL);
+  const __m512i key = _mm512_set1_epi64(static_cast<long long>(step_key));
+  const __m512i t_imm = _mm512_set1_epi64(static_cast<long long>(t_immunize));
+  const __m512i t_blk = _mm512_set1_epi64(static_cast<long long>(t_block));
+  const __m512i iota = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+  scalar::sweep_draws_by_word(
+      words, counts, lo, hi, step_key, t_immunize, t_block, recover, exposed,
+      [&](std::size_t base) {
+        scalar::DrawMasks64 d{0, 0, 0};
+        for (std::size_t g = 0; g < 64; g += kLanes) {
+          const __m512i v = _mm512_add_epi64(
+              _mm512_set1_epi64(static_cast<long long>(base + g)), iota);
+          // CounterRng(hash_mix(step_key, v)).next() >> 11, where
+          // hash_mix(a, b) = splitmix64(a ^ (splitmix64(b) + golden)).
+          const __m512i hashed = mix64(_mm512_add_epi64(v, golden));
+          const __m512i stream = mix64(_mm512_add_epi64(
+              _mm512_xor_si512(key, _mm512_add_epi64(hashed, golden)),
+              golden));
+          const __m512i m =
+              srli64(mix64(_mm512_add_epi64(stream, golden)), 11);
+          d.below_immunize |=
+              static_cast<std::uint64_t>(_mm512_cmplt_epu64_mask(m, t_imm))
+              << g;
+          d.below_block |=
+              static_cast<std::uint64_t>(_mm512_cmplt_epu64_mask(m, t_blk))
+              << g;
+        }
+        for (std::size_t q = 0; q < 64; q += 16) {
+          const __m512i c = _mm512_loadu_si512(
+              reinterpret_cast<const void*>(counts + base + q));
+          d.has_source |=
+              static_cast<std::uint64_t>(_mm512_test_epi32_mask(c, c)) << q;
+        }
+        return d;
+      });
+}
+
 // --- batched lane-per-problem kernels -------------------------------
 // One zmm holds the same component of 8 adjacent problems; the
 // component loop runs sequentially, so every lane accumulates in the
@@ -665,6 +722,7 @@ const Ops& avx512_ops() {
       accumulate,
       accumulate_sq,
       census2,
+      sweep_draws,
       simd::varint_decode_deltas_avx2,
       batch_dot,
       batch_trapezoid,

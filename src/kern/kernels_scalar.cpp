@@ -60,6 +60,7 @@ const Ops& scalar_ops() {
       accumulate,
       accumulate_sq,
       scalar::census2,
+      scalar::sweep_draws,
       scalar::varint_decode_deltas,
       batchref::dot,
       batchref::trapezoid,

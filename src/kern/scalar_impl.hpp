@@ -14,6 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/random.hpp"
+
 namespace rumor::kern::scalar {
 
 inline double dot(const double* a, const double* b, std::size_t n) {
@@ -251,6 +253,105 @@ inline void census2(const std::uint64_t* words, std::size_t nnodes,
   }
   out[0] = infected;
   out[1] = recovered;
+}
+
+/// Ops::sweep_draws for nodes [from, to) of the sweep that starts at
+/// node `lo`, OR-ed into its mask words (bit v - lo). Each S or I node
+/// takes the first draw of its counter stream — CounterRng(hash_mix(
+/// step_key, v)) — and compares its top 53 bits with the threshold of
+/// its compartment; recovered nodes draw nothing. The scalar backend
+/// runs whole sweeps through here, the SIMD backends their partial last
+/// mask word.
+inline void sweep_draws_range(const std::uint64_t* words,
+                              const std::uint32_t* counts, std::size_t lo,
+                              std::size_t from, std::size_t to,
+                              std::uint64_t step_key, std::uint64_t t_immunize,
+                              std::uint64_t t_block, std::uint64_t* recover,
+                              std::uint64_t* exposed) {
+  for (std::size_t v = from; v < to; ++v) {
+    const auto c = (words[v / kNodesPerWord] >> (2 * (v % kNodesPerWord))) &
+                   0x3ULL;
+    if (c > 1) continue;
+    const std::uint64_t m =
+        util::CounterRng(util::hash_mix(step_key, v)).next() >> 11;
+    const std::uint64_t bit = 1ULL << ((v - lo) % 64);
+    const std::size_t w = (v - lo) / 64;
+    if (c == 0) {
+      if (m < t_immunize) {
+        recover[w] |= bit;
+      } else if (counts[v] > 0) {
+        exposed[w] |= bit;
+      }
+    } else if (m < t_block) {
+      recover[w] |= bit;
+    }
+  }
+}
+
+inline void sweep_draws(const std::uint64_t* words,
+                        const std::uint32_t* counts, std::size_t lo,
+                        std::size_t hi, std::uint64_t step_key,
+                        std::uint64_t t_immunize, std::uint64_t t_block,
+                        std::uint64_t* recover, std::uint64_t* exposed) {
+  for (std::size_t w = 0; w < (hi - lo + 63) / 64; ++w) {
+    recover[w] = 0;
+    exposed[w] = 0;
+  }
+  sweep_draws_range(words, counts, lo, lo, hi, step_key, t_immunize, t_block,
+                    recover, exposed);
+}
+
+/// The even bits of x packed into its low half (bit 2i -> bit i).
+inline std::uint64_t compress_even_bits(std::uint64_t x) {
+  x &= kEvenBits;
+  x = (x | (x >> 1)) & 0x3333333333333333ULL;
+  x = (x | (x >> 2)) & 0x0F0F0F0F0F0F0F0FULL;
+  x = (x | (x >> 4)) & 0x00FF00FF00FF00FFULL;
+  x = (x | (x >> 8)) & 0x0000FFFF0000FFFFULL;
+  return (x | (x >> 16)) & 0x00000000FFFFFFFFULL;
+}
+
+/// First-draw compares of 64 consecutive nodes, one bit per node.
+struct DrawMasks64 {
+  std::uint64_t below_immunize;  ///< m < t_immunize
+  std::uint64_t below_block;     ///< m < t_block
+  std::uint64_t has_source;      ///< counts[v] > 0
+};
+
+/// The SIMD backends' sweep_draws: `draw64(base)` returns the
+/// DrawMasks64 of nodes [base, base + 64) for every node, whatever its
+/// compartment (lanes are cheaper than branches); the compartment masks
+/// then select per node exactly what sweep_draws_range decides. The
+/// partial last mask word runs per node. Always inlined so each
+/// backend's draw64 stays a direct call.
+template <class Draw64>
+[[gnu::always_inline]] inline void sweep_draws_by_word(
+    const std::uint64_t* words, const std::uint32_t* counts, std::size_t lo,
+    std::size_t hi, std::uint64_t step_key, std::uint64_t t_immunize,
+    std::uint64_t t_block, std::uint64_t* recover, std::uint64_t* exposed,
+    Draw64&& draw64) {
+  const std::size_t full = (hi - lo) / 64;
+  for (std::size_t w = 0; w < full; ++w) {
+    const std::size_t base = lo + 64 * w;
+    const std::uint64_t lo_word = words[base / kNodesPerWord];
+    const std::uint64_t hi_word = words[base / kNodesPerWord + 1];
+    const std::uint64_t even =
+        compress_even_bits(lo_word) | compress_even_bits(hi_word) << 32;
+    const std::uint64_t odd = compress_even_bits(lo_word >> 1) |
+                              compress_even_bits(hi_word >> 1) << 32;
+    const std::uint64_t susceptible = ~(even | odd);
+    const std::uint64_t infected = even & ~odd;
+    const DrawMasks64 d = draw64(base);
+    recover[w] =
+        (susceptible & d.below_immunize) | (infected & d.below_block);
+    exposed[w] = susceptible & ~d.below_immunize & d.has_source;
+  }
+  if (lo + 64 * full < hi) {
+    recover[full] = 0;
+    exposed[full] = 0;
+    sweep_draws_range(words, counts, lo, lo + 64 * full, hi, step_key,
+                      t_immunize, t_block, recover, exposed);
+  }
 }
 
 /// Reference decoder for zigzag-delta LEB128 varints — the contract

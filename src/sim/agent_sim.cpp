@@ -1,9 +1,8 @@
 #include "sim/agent_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <limits>
-#include <map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -53,9 +52,15 @@ static_assert(kStepGrain % PackedCompartments::kNodesPerWord == 0,
 // Sentinel for "node not in this list" in the position indices.
 constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
 
-// Memoized-hazard mark for "a source changed compartment since the last
-// gather". Real hazards are finite and >= 0, so NaN never collides.
-constexpr double kStaleHazard = std::numeric_limits<double>::quiet_NaN();
+// Memoized-threshold mark for "a source changed compartment since the
+// last gather". Real thresholds are at most 2^53, so all-ones never
+// collides.
+constexpr std::uint64_t kStaleThreshold = ~std::uint64_t{0};
+
+// Mask words per full-sweep chunk: one bit per node.
+constexpr std::size_t kMaskWords = kStepGrain / 64;
+static_assert(kStepGrain % 64 == 0,
+              "full-sweep chunks must start on a mask-word boundary");
 
 // Per-thread decode target for compressed-graph neighbor lists. One
 // scratch per OS thread (not per simulation): decode_neighbors resizes
@@ -130,36 +135,40 @@ void AgentSimulation::init_common(std::uint64_t seed) {
       graph_ != nullptr ? graph_->num_nodes() : zgraph_->num_nodes();
   util::require(n > 0, "AgentSimulation: empty graph");
   state_.assign(n, Compartment::kSusceptible);
-  lambda_over_k_.resize(n);
-  omega_over_k_.resize(n);
   infected_weight_.assign(n, 0.0);
   susceptible_count_ = n;
-  std::map<std::size_t, std::size_t> degree_counts;
   std::vector<std::uint32_t> degrees(n);
+  std::size_t max_degree = 0;
   for (std::size_t v = 0; v < n; ++v) {
     const std::size_t degree = node_degree(v);
     degrees[v] = static_cast<std::uint32_t>(degree);
-    const auto k = static_cast<double>(degree);
-    if (k > 0.0) {
-      lambda_over_k_[v] = params_.lambda(k) / k;
-      omega_over_k_[v] = params_.omega(k) / k;
-    } else {
-      lambda_over_k_[v] = 0.0;  // isolated nodes cannot catch or spread
-      omega_over_k_[v] = 0.0;
-    }
-    ++degree_counts[degree];
+    max_degree = std::max(max_degree, degree);
   }
-  group_degrees_.reserve(degree_counts.size());
-  group_sizes_.reserve(degree_counts.size());
-  std::map<std::size_t, std::size_t> group_index;
-  for (const auto& [degree, count] : degree_counts) {
+  // Degree groups from a flat histogram (degrees are at most n): count,
+  // then number the nonempty degrees in ascending order in place, and
+  // evaluate λ(k)/k and ω(k)/k once per distinct degree.
+  std::vector<std::size_t> group_index(max_degree + 1, 0);
+  for (const std::uint32_t degree : degrees) ++group_index[degree];
+  std::vector<double> group_lambda_over_k, group_omega_over_k;
+  for (std::size_t degree = 0; degree <= max_degree; ++degree) {
+    const std::size_t count = group_index[degree];
+    if (count == 0) continue;
     group_index[degree] = group_degrees_.size();
     group_degrees_.push_back(degree);
     group_sizes_.push_back(count);
+    const auto k = static_cast<double>(degree);
+    // Isolated nodes cannot catch or spread.
+    group_lambda_over_k.push_back(k > 0.0 ? params_.lambda(k) / k : 0.0);
+    group_omega_over_k.push_back(k > 0.0 ? params_.omega(k) / k : 0.0);
   }
   group_of_.resize(n);
+  lambda_over_k_.resize(n);
+  omega_over_k_.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
-    group_of_[v] = group_index[degrees[v]];
+    const std::size_t group = group_index[degrees[v]];
+    group_of_[v] = group;
+    lambda_over_k_[v] = group_lambda_over_k[group];
+    omega_over_k_[v] = group_omega_over_k[group];
   }
   // Every per-step buffer is sized once here so warm steps never touch
   // the allocator (pinned by tests/test_perf_alloc.cpp). A full sweep
@@ -174,7 +183,7 @@ void AgentSimulation::init_common(std::uint64_t seed) {
     chunk_deltas_.assign(max_chunks, StepDelta{});
   } else {
     exposure_count_.assign(n, 0);
-    hazard_.assign(n, 0.0);
+    infection_threshold_.assign(n, 0);
     active_pos_.assign(n, kNoPos);
     infected_pos_.assign(n, kNoPos);
     active_list_.reserve(n);
@@ -253,8 +262,9 @@ void AgentSimulation::set_control_schedule(
 // pure function of the infected weights in CSR order under whichever
 // lane split the backend uses. Compressed graphs decode the identical
 // stored order, so the same argument covers both representations. The
-// frontier engine's memo stores exactly this value and is marked stale
-// whenever an input weight changes, so a reused memo is the gather.
+// frontier engine's memo stores the integer threshold of exactly this
+// value's infection trial (threshold_of) and is marked stale whenever
+// an input weight changes, so a reused memo decides as the gather would.
 
 void AgentSimulation::step() {
   const obs::TraceSpan span("sim.step");
@@ -383,13 +393,22 @@ void AgentSimulation::step_dense(double p_immunize, double p_block,
 
 void AgentSimulation::step_frontier(double p_immunize, double p_block,
                                     std::uint64_t step_key) {
-  const double dt = params_.dt;
+  // Every trial below is an integer compare against a threshold (see
+  // util::bernoulli_threshold) on the node's own counter stream, which
+  // decides exactly as the dense engine's CounterRng::bernoulli.
+  const std::uint64_t t_block = util::bernoulli_threshold(p_block);
   std::size_t used_chunks = 0;
 
   if (p_immunize > 0.0) {
     // Immunization steps: every susceptible node needs a draw, so sweep
-    // all nodes like the dense engine — but the exposure count still
-    // gates the hazard lookups, and only stale ones cost a gather.
+    // all nodes like the dense engine. The dispatched kernel takes every
+    // S and I node's first draw 8 (AVX-512) or 4 (AVX2) at a time and
+    // returns two bit masks: nodes that recover (immunized S, blocked I)
+    // and exposed susceptibles that survived immunization. Only the
+    // latter take their memoized infection threshold (a stale one costs
+    // a gather) and their second draw — truth wins ties, as in the
+    // dense engine, whose infection draw follows the immunization draw.
+    const std::uint64_t t_immunize = util::bernoulli_threshold(p_immunize);
     const std::size_t n = num_nodes();
     used_chunks = (n + kStepGrain - 1) / kStepGrain;
     util::parallel_for_chunks(
@@ -399,35 +418,30 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           auto& out = chunk_transitions_[chunk];
           out.clear();
           std::uint64_t edges = 0;
-          for (std::size_t v = lo; v < hi; ++v) {
-            switch (state_.get(v)) {
-              case Compartment::kSusceptible: {
-                util::CounterRng draw(util::hash_mix(step_key, v));
-                if (draw.bernoulli(p_immunize)) {
-                  out.push_back({static_cast<graph::NodeId>(v),
-                                 Compartment::kRecovered});
-                } else if (exposure_count_[v] > 0) {
-                  const double hazard = memo_hazard(v, edges);
-                  if (hazard > 0.0) {
-                    const double rate = lambda_over_k_[v] * hazard;
-                    if (draw.bernoulli(1.0 - std::exp(-rate * dt))) {
-                      out.push_back({static_cast<graph::NodeId>(v),
-                                     Compartment::kInfected});
-                    }
-                  }
-                }
-                break;
+          std::uint64_t recover[kMaskWords];
+          std::uint64_t exposed[kMaskWords];
+          ops_->sweep_draws(state_.words(), exposure_count_.data(), lo, hi,
+                            step_key, t_immunize, t_block, recover, exposed);
+          // Set bits in ascending node order: the transition record is
+          // the one a per-node loop over [lo, hi) would write.
+          const std::size_t words = (hi - lo + 63) / 64;
+          for (std::size_t w = 0; w < words; ++w) {
+            for (std::uint64_t bits = recover[w] | exposed[w]; bits != 0;
+                 bits &= bits - 1) {
+              const int b = std::countr_zero(bits);
+              const auto v = static_cast<graph::NodeId>(lo + 64 * w + b);
+              if ((recover[w] >> b) & 1U) {
+                out.push_back({v, Compartment::kRecovered});
+                continue;
               }
-              case Compartment::kInfected: {
+              const std::uint64_t threshold = memo_threshold(v, edges);
+              if (threshold > 0) {
                 util::CounterRng draw(util::hash_mix(step_key, v));
-                if (draw.bernoulli(p_block)) {
-                  out.push_back({static_cast<graph::NodeId>(v),
-                                 Compartment::kRecovered});
+                draw.next();  // the immunization draw the kernel took
+                if (draw.below(threshold)) {
+                  out.push_back({v, Compartment::kInfected});
                 }
-                break;
               }
-              case Compartment::kRecovered:
-                break;
             }
           }
           chunk_edges_[chunk] = edges;
@@ -438,7 +452,8 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
     // consume no draws in the dense engine either (p <= 0 Bernoulli
     // trials are free, zero-hazard nodes never reach their infection
     // draw), and every node owns its own stream, so skipping them
-    // cannot shift anyone else's randomness.
+    // cannot shift anyone else's randomness. With no immunization
+    // trial, the infection draw is each node's first.
     const std::size_t active = active_list_.size();
     const std::size_t active_chunks =
         (active + kStepGrain - 1) / kStepGrain;
@@ -451,11 +466,10 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           std::uint64_t edges = 0;
           for (std::size_t at = lo; at < hi; ++at) {
             const graph::NodeId v = active_list_[at];
-            const double hazard = memo_hazard(v, edges);
-            if (hazard > 0.0) {
+            const std::uint64_t threshold = memo_threshold(v, edges);
+            if (threshold > 0) {
               util::CounterRng draw(util::hash_mix(step_key, v));
-              const double rate = lambda_over_k_[v] * hazard;
-              if (draw.bernoulli(1.0 - std::exp(-rate * dt))) {
+              if (draw.below(threshold)) {
                 out.push_back({v, Compartment::kInfected});
               }
             }
@@ -463,7 +477,7 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           chunk_edges_[chunk] = edges;
         });
     used_chunks = active_chunks;
-    if (p_block > 0.0) {
+    if (t_block > 0) {
       const std::size_t infected = infected_list_.size();
       util::parallel_for_chunks(
           std::size_t{0}, infected, kStepGrain,
@@ -473,7 +487,7 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
             for (std::size_t at = lo; at < hi; ++at) {
               const graph::NodeId v = infected_list_[at];
               util::CounterRng draw(util::hash_mix(step_key, v));
-              if (draw.bernoulli(p_block)) {
+              if (draw.below(t_block)) {
                 out.push_back({v, Compartment::kRecovered});
               }
             }
@@ -524,14 +538,24 @@ void AgentSimulation::apply_transition(graph::NodeId v, Compartment to) {
   }
 }
 
-double AgentSimulation::memo_hazard(std::size_t v, std::uint64_t& edges) {
-  double& memo = hazard_[v];
-  if (std::isnan(memo)) {
+std::uint64_t AgentSimulation::threshold_of(std::size_t v,
+                                            double hazard) const {
+  // The dense engine's infection trial: a zero hazard never reaches its
+  // draw, otherwise bernoulli(1 − exp(−rate·dt)).
+  if (!(hazard > 0.0)) return 0;
+  const double rate = lambda_over_k_[v] * hazard;
+  return util::bernoulli_threshold(1.0 - std::exp(-rate * params_.dt));
+}
+
+std::uint64_t AgentSimulation::memo_threshold(std::size_t v,
+                                              std::uint64_t& edges) {
+  std::uint64_t& memo = infection_threshold_[v];
+  if (memo == kStaleThreshold) {
     // One fetch serves both the gather and the edge count — on
     // compressed graphs a fetch is a varint decode.
     const auto sources = exposure_sources(v);
     edges += sources.size();
-    memo = gather_over(sources);
+    memo = threshold_of(v, gather_over(sources));
   }
   return memo;
 }
@@ -544,7 +568,7 @@ void AgentSimulation::scatter_infectiousness(graph::NodeId u,
   // here, so marking the targets stale keeps each memo exact.
   const auto targets = neighbors_of(u);
   for (const graph::NodeId t : targets) {
-    hazard_[t] = kStaleHazard;
+    infection_threshold_[t] = kStaleThreshold;
     std::uint32_t& count = exposure_count_[t];
     if (became_infectious) {
       if (++count == 1 && state_.get(t) == Compartment::kSusceptible) {
@@ -599,9 +623,10 @@ void AgentSimulation::rebuild_frontier() {
       if (state_.get(u) == Compartment::kInfected) ++count;
     }
     exposure_count_[v] = count;
-    // With no infected source every weight is +0.0, so 0.0 is exactly
-    // the gather's result.
-    hazard_[v] = count > 0 ? gather_over(sources) : 0.0;
+    // With no infected source every weight is +0.0, so the gather is
+    // exactly 0.0 and the threshold 0.
+    infection_threshold_[v] =
+        count > 0 ? threshold_of(v, gather_over(sources)) : 0;
     const graph::NodeId id = static_cast<graph::NodeId>(v);
     if (state_.get(v) == Compartment::kInfected) {
       infected_add(id);
@@ -611,11 +636,13 @@ void AgentSimulation::rebuild_frontier() {
   }
 }
 
-double AgentSimulation::hazard(graph::NodeId v) const {
-  util::require(frontier(), "hazard: frontier engine only");
-  util::require(v < num_nodes(), "hazard: node out of range");
-  const double memo = hazard_[v];
-  return std::isnan(memo) ? gather_over(exposure_sources(v)) : memo;
+std::uint64_t AgentSimulation::infection_threshold(graph::NodeId v) const {
+  util::require(frontier(), "infection_threshold: frontier engine only");
+  util::require(v < num_nodes(), "infection_threshold: node out of range");
+  const std::uint64_t memo = infection_threshold_[v];
+  return memo != kStaleThreshold ? memo
+                                 : threshold_of(v, gather_over(
+                                                       exposure_sources(v)));
 }
 
 std::uint32_t AgentSimulation::exposure_count(graph::NodeId v) const {

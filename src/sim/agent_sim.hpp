@@ -40,23 +40,28 @@
 //    maintained by deterministic scatter when nodes enter/leave the
 //    infected compartment, and the step only visits the current
 //    infected set plus the active set of susceptibles with an infected
-//    exposure source. Each node's hazard is memoized: the same scatter
-//    marks every node it touches stale, and a decision re-gathers a node
-//    only while it is stale, so a susceptible whose sources kept their
-//    compartments costs no edge work at all. A step costs O(|frontier|)
-//    plus the CSR lists of the nodes that flipped and of the exposed
-//    susceptibles they touched; on a million-node graph at low
-//    prevalence that is ~1000× less work than the dense sweep (see
-//    docs/performance.md). When ε1(t) > 0 every susceptible
-//    can flip, so those steps degrade gracefully to a full node sweep
-//    that still gathers only stale exposed nodes.
+//    exposure source. Each node's infection trial is memoized as an
+//    integer threshold, T(1 − exp(−λ(k)/k · gather · dt)) with
+//    T = util::bernoulli_threshold: the same scatter marks every node
+//    it touches stale, and a decision re-gathers a node (and pays the
+//    exp) only while it is stale, so a susceptible whose sources kept
+//    their compartments costs one integer compare. A step costs
+//    O(|frontier|) plus the CSR lists of the nodes that flipped and of
+//    the exposed susceptibles they touched; on a million-node graph at
+//    low prevalence that is ~1000× less work than the dense sweep (see
+//    docs/performance.md). When ε1(t) > 0 every susceptible can flip,
+//    so those steps degrade gracefully to a full node sweep: the
+//    dispatched kern::Ops::sweep_draws kernel takes every node's first
+//    draw as an integer compare, 8 or 4 nodes per vector, and only the
+//    exposed susceptibles it flags consult the memo.
 //
-// Because the per-node draw streams are shared and a memoized hazard is
-// the *same* fixed-order CSR gather the dense engine computes — a
-// node's gather inputs change only when a source flips into or out of
-// I, and every such flip marks the node stale — the two engines produce
-// bit-identical trajectories; tests/test_sim_frontier.cpp pins this at
-// 1/2/8 threads and across checkpoint/resume.
+// Because the per-node draw streams are shared, a threshold compare
+// decides exactly as CounterRng::bernoulli, and a memoized threshold
+// comes from the *same* fixed-order CSR gather the dense engine
+// computes — a node's gather inputs change only when a source flips
+// into or out of I, and every such flip marks the node stale — the two
+// engines produce bit-identical trajectories; tests/test_sim_frontier.cpp
+// pins this at 1/2/8 threads and across checkpoint/resume.
 #pragma once
 
 #include <array>
@@ -221,16 +226,18 @@ class AgentSimulation {
 
   /// Cumulative CSR entries touched by step-time hazard gathers and
   /// infection scatters since construction (frontier memo hits, the
-  /// restore rebuild and hazard() reads are not counted). Divide a
-  /// delta by the step count for the edges-touched-per-step figure
-  /// reported by the bench harness.
+  /// restore rebuild and infection_threshold() reads are not counted).
+  /// Divide a delta by the step count for the edges-touched-per-step
+  /// figure reported by the bench harness.
   std::uint64_t edges_scanned() const { return edges_scanned_; }
 
-  /// Frontier engine only: the exposure sum Σ ω(k_u)/k_u over the
-  /// currently infected exposure sources of v — exactly the fixed-order
-  /// CSR gather the decisions use. Returns the memoized value, or
-  /// re-gathers (without caching) when v is stale.
-  double hazard(graph::NodeId v) const;
+  /// Frontier engine only: the integer threshold of v's infection
+  /// trial, util::bernoulli_threshold(1 − exp(−λ(k_v)/k_v · h · dt))
+  /// where h is the fixed-order CSR gather Σ ω(k_u)/k_u over v's
+  /// currently infected exposure sources (0 when h is 0). Returns the
+  /// memo when it is fresh, or recomputes (without caching) when v is
+  /// stale.
+  std::uint64_t infection_threshold(graph::NodeId v) const;
 
   /// Frontier engine only: number of infected exposure sources of v.
   std::uint32_t exposure_count(graph::NodeId v) const;
@@ -245,7 +252,7 @@ class AgentSimulation {
   /// Restore a checkpoint captured from a simulation on the same graph
   /// with the same params (the engine may differ — trajectories are
   /// engine-invariant). Derived quantities (census counters, the
-  /// infected-weight table, exposure counts, hazard memo, active/
+  /// infected-weight table, exposure counts, threshold memo, active/
   /// infected sets) are recomputed from the node states; the control
   /// schedule is NOT part of the checkpoint — re-attach it before
   /// stepping if one was in use.
@@ -307,18 +314,26 @@ class AgentSimulation {
                             sources.size());
   }
 
-  /// Frontier decision phases: v's memoized hazard, re-gathered (and
-  /// its CSR entries added to `edges`) only while v is stale. Each node
-  /// is decided by exactly one chunk, so the write-back is race-free.
-  double memo_hazard(std::size_t v, std::uint64_t& edges);
+  /// The integer threshold of v's infection trial given its gathered
+  /// hazard: 0 when the hazard is not positive (the dense engine never
+  /// draws then), else bernoulli_threshold(1 − exp(−rate·dt)) with the
+  /// dense engine's rate expression. λ(k)/k and dt are fixed for the
+  /// simulation, so the value depends on the gather alone.
+  std::uint64_t threshold_of(std::size_t v, double hazard) const;
+
+  /// Frontier decision phases: v's memoized infection threshold,
+  /// re-gathered (and its CSR entries added to `edges`) only while v is
+  /// stale. Each node is decided by exactly one chunk, so the
+  /// write-back is race-free.
+  std::uint64_t memo_threshold(std::size_t v, std::uint64_t& edges);
 
   /// Flip v to `to`, maintaining counters, the infected-weight table
-  /// and (frontier engine) the exposure counts / hazard memo / active
+  /// and (frontier engine) the exposure counts / threshold memo / active
   /// and infected sets. No-op when v already is in `to`.
   void apply_transition(graph::NodeId v, Compartment to);
 
   /// Update the exposure count of every node u exposes and mark its
-  /// memoized hazard stale (u's weight in its gather just changed).
+  /// memoized threshold stale (u's weight in its gather just changed).
   void scatter_infectiousness(graph::NodeId u, bool became_infectious);
 
   void active_add(graph::NodeId v);
@@ -326,7 +341,7 @@ class AgentSimulation {
   void infected_add(graph::NodeId v);
   void infected_remove(graph::NodeId v);
 
-  /// Rebuild exposure counts, the hazard memo and the active/infected
+  /// Rebuild exposure counts, the threshold memo and the active/infected
   /// sets from the compartment array (restore path).
   void rebuild_frontier();
 
@@ -355,7 +370,9 @@ class AgentSimulation {
   std::vector<double> next_infected_weight_;
   // Frontier engine incremental structures (empty under dense).
   std::vector<std::uint32_t> exposure_count_;  // infected exposure sources
-  std::vector<double> hazard_;                 // memoized gather, NaN: stale
+  // Memoized infection-trial threshold (threshold_of the gather);
+  // all-ones: stale.
+  std::vector<std::uint64_t> infection_threshold_;
   std::vector<graph::NodeId> active_list_;     // S nodes with count > 0
   std::vector<std::uint32_t> active_pos_;      // node → index, kNoPos if out
   std::vector<graph::NodeId> infected_list_;

@@ -90,7 +90,7 @@ void restore_agent_checkpoint(const io::ContainerReader& reader,
   state.expect_end();
 
   // An `agent.hazard` section from an older writer is left unread (see
-  // checkpoint.hpp): restore() rebuilds the hazard memo by gathering.
+  // checkpoint.hpp): restore() rebuilds the threshold memo by gathering.
   simulation.restore(c);
 }
 

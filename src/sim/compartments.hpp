@@ -48,6 +48,10 @@ class PackedCompartments {
 
   std::size_t size() const { return size_; }
 
+  /// The packed words (kNodesPerWord nodes each), for word-level
+  /// kernels such as kern::Ops::census2 and sweep_draws.
+  const std::uint64_t* words() const { return words_.data(); }
+
   Compartment get(std::size_t v) const {
     const std::uint64_t word = words_[v / kNodesPerWord];
     const std::size_t shift = (v % kNodesPerWord) * kBitsPerNode;

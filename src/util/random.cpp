@@ -15,14 +15,6 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 }
 }  // namespace
 
-std::uint64_t splitmix64_next(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : state_) word = splitmix64_next(sm);

@@ -8,14 +8,23 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 namespace rumor::util {
 
 /// splitmix64: used to expand a single 64-bit seed into xoshiro state.
-/// Advances `state` and returns the next output.
-std::uint64_t splitmix64_next(std::uint64_t& state);
+/// Advances `state` and returns the next output. Inline: the agent
+/// simulator's per-node draw streams call it several times per node per
+/// step.
+inline std::uint64_t splitmix64_next(std::uint64_t& state) {
+  state += 0x9E3779B97F4A7C15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 /// Stateless splitmix64 hash of a single word: the output of one
 /// splitmix64 step starting from `x`. Used to decorrelate structured
@@ -24,6 +33,20 @@ std::uint64_t splitmix64_next(std::uint64_t& state);
 inline std::uint64_t splitmix64(std::uint64_t x) {
   std::uint64_t state = x;
   return splitmix64_next(state);
+}
+
+/// The integer form of a Bernoulli(p) trial on a 53-bit uniform draw:
+/// for a draw x, `(x >> 11) < bernoulli_threshold(p)` is exactly
+/// `(x >> 11) * 2^-53 < p`, i.e. CounterRng::uniform() < p. Scaling by
+/// 2^53 is exact in binary floating point, and an integer m is below a
+/// real y iff it is below ceil(y), so the threshold is ceil(p · 2^53)
+/// for p in (0, 1); 0 for p <= 0 (or NaN: never succeeds) and 2^53 for
+/// p >= 1 (always succeeds — every 53-bit draw is below it). Computing
+/// the threshold once turns each later trial into one integer compare.
+inline std::uint64_t bernoulli_threshold(double p) {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 /// Hash-combine two words into one well-mixed word. Chain it to derive
@@ -64,6 +87,12 @@ class CounterRng {
     if (p >= 1.0) return true;
     return uniform() < p;
   }
+
+  /// Bernoulli trial against a precomputed bernoulli_threshold(p):
+  /// the same outcome as bernoulli(p) for p in (0, 1), but always
+  /// consumes a draw (callers that need bernoulli()'s consumption
+  /// contract skip the call when the threshold is 0 or 2^53).
+  bool below(std::uint64_t threshold) { return (next() >> 11) < threshold; }
 
   /// Uniform integer in [0, bound), bound > 0 — Lemire's rejection
   /// method, so the result is unbiased and a pure function of the

@@ -7,7 +7,6 @@
 // must produce bit-identical results at 1, 2, and 8 threads, and a run
 // resumed from a mid-run checkpoint must reproduce the uninterrupted
 // iterate sequence exactly.
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
@@ -24,6 +23,8 @@
 #include "core/sir_model.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
+
+#include "temp_path.hpp"
 
 namespace rumor {
 namespace {
@@ -176,10 +177,7 @@ TEST_F(ControlEquivalence, ResumedSweepIsBitIdentical) {
 
   // "Interrupted" run: stop after 12 of 30 iterations with a checkpoint
   // on disk, then resume with the full budget.
-  const std::string path =
-      (fs::temp_directory_path() /
-       ("rumor_equiv_sweep_" + std::to_string(::getpid()) + ".ckpt"))
-          .string();
+  const std::string path = test::temp_path("sweep.ckpt");
   options.checkpoint_path = path;
   options.checkpoint_every = 4;
   auto truncated = options;
@@ -206,10 +204,7 @@ TEST_F(ControlEquivalence, ResumedMpcIsBitIdentical) {
   const std::uint64_t uninterrupted =
       digest(control::run_mpc(model, y0, 10.0, cost, options));
 
-  const std::string path =
-      (fs::temp_directory_path() /
-       ("rumor_equiv_mpc_" + std::to_string(::getpid()) + ".ckpt"))
-          .string();
+  const std::string path = test::temp_path("mpc.ckpt");
   options.checkpoint_path = path;
   // "Interrupted" run: half the horizon, leaving its checkpoint behind.
   control::run_mpc(model, y0, 5.0, cost, options);
@@ -226,10 +221,7 @@ TEST_F(ControlEquivalence, ThreadCountInvarianceHoldsUnderResume) {
   const auto y0 = model.initial_state(0.05);
   const auto cost = small_cost();
 
-  const std::string path =
-      (fs::temp_directory_path() /
-       ("rumor_equiv_mix_" + std::to_string(::getpid()) + ".ckpt"))
-          .string();
+  const std::string path = test::temp_path("mix.ckpt");
   // Checkpoint written at 2 threads, resumed at 8 and at 1: thread
   // count must not leak into the persisted state.
   auto options = small_options();

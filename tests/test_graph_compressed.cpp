@@ -27,14 +27,14 @@
 #include "util/error.hpp"
 #include "util/random.hpp"
 
+#include "temp_path.hpp"
+
 namespace {
 
 using namespace rumor;
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / ("rumor_zg_test_" + name)).string();
-}
+using rumor::test::temp_path;
 
 graph::Graph sample_graph(std::size_t n = 600, std::size_t m = 3,
                           std::uint64_t seed = 11) {

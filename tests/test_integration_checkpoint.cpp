@@ -22,16 +22,14 @@
 #include "util/parallel.hpp"
 #include "util/random.hpp"
 
+#include "temp_path.hpp"
+
 namespace rumor {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() /
-          ("rumor_integration_" + std::to_string(::getpid()) + "_" + name))
-      .string();
-}
+using rumor::test::temp_path;
 
 sim::AgentParams agent_params() {
   sim::AgentParams params;

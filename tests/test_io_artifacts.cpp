@@ -18,14 +18,14 @@
 #include "ode/trajectory.hpp"
 #include "util/error.hpp"
 
+#include "temp_path.hpp"
+
 namespace rumor::io {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / ("rumor_artifacts_" + name)).string();
-}
+using rumor::test::temp_path;
 
 std::string file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -24,14 +24,14 @@
 #include "util/parallel.hpp"
 #include "util/random.hpp"
 
+#include "temp_path.hpp"
+
 namespace rumor {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / ("rumor_ckpt_" + name)).string();
-}
+using rumor::test::temp_path;
 
 class ThreadCountGuard {
  public:

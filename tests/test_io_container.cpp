@@ -14,14 +14,14 @@
 #include "io/container.hpp"
 #include "util/error.hpp"
 
+#include "temp_path.hpp"
+
 namespace rumor::io {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / ("rumor_io_test_" + name)).string();
-}
+using rumor::test::temp_path;
 
 ContainerWriter sample_writer() {
   ContainerWriter writer("TESTKIND");

@@ -16,14 +16,14 @@
 #include "util/error.hpp"
 #include "util/random.hpp"
 
+#include "temp_path.hpp"
+
 namespace rumor::io {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / ("rumor_graphbin_" + name)).string();
-}
+using rumor::test::temp_path;
 
 void expect_same_graph(const graph::Graph& a, const graph::Graph& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());

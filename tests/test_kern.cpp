@@ -4,11 +4,11 @@
 // unaligned offsets, so each SIMD implementation exercises its empty,
 // partial-vector, exactly-one-vector, and multi-vector-plus-tail paths
 // against the scalar reference. The determinism policy of kern.hpp is
-// enforced literally: elementwise kernels and the integer census must
-// match the scalar backend bit for bit; reductions (which reassociate
-// under SIMD) must match to ULP-scale tolerance; the fused RK4 step
-// kernels must be bitwise equal to the unfused kernel sequence of the
-// SAME backend.
+// enforced literally: elementwise kernels and the integer kernels
+// (census, sweep draws) must match the scalar backend bit for bit;
+// reductions (which reassociate under SIMD) must match to ULP-scale
+// tolerance; the fused RK4 step kernels must be bitwise equal to the
+// unfused kernel sequence of the SAME backend.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -359,6 +359,105 @@ TEST(KernSweep, Census2ExactInEveryBackend) {
   }
 }
 
+// Reference for Ops::sweep_draws built from util::CounterRng itself:
+// each S or I node's first draw decides its compartment's trial through
+// CounterRng::bernoulli, as the dense agent engine does.
+struct SweepCase {
+  double p_immunize;
+  double p_block;
+};
+
+void reference_sweep(const std::vector<std::uint64_t>& words,
+                     const std::vector<std::uint32_t>& counts, std::size_t lo,
+                     std::size_t hi, std::uint64_t step_key,
+                     const SweepCase& c, std::vector<std::uint64_t>& recover,
+                     std::vector<std::uint64_t>& exposed) {
+  recover.assign((hi - lo + 63) / 64, 0);
+  exposed.assign(recover.size(), 0);
+  for (std::size_t v = lo; v < hi; ++v) {
+    const unsigned field = (words[v / 32] >> (2 * (v % 32))) & 3u;
+    util::CounterRng draw(util::hash_mix(step_key, v));
+    const std::uint64_t bit = 1ULL << ((v - lo) % 64);
+    if (field == 0) {
+      if (draw.bernoulli(c.p_immunize)) {
+        recover[(v - lo) / 64] |= bit;
+      } else if (counts[v] > 0) {
+        exposed[(v - lo) / 64] |= bit;
+      }
+    } else if (field == 1 && draw.bernoulli(c.p_block)) {
+      recover[(v - lo) / 64] |= bit;
+    }
+  }
+}
+
+TEST(KernSweep, SweepDrawsMatchCounterRngInEveryBackend) {
+  std::vector<const kern::Ops*> backends = {
+      &kern::ops(kern::Backend::kScalar)};
+  for (const kern::Ops* simd : simd_backends()) backends.push_back(simd);
+  // Degenerate thresholds (0 and 2^53), the agent engine's usual
+  // per-step probabilities, and mid-range ones where both outcomes are
+  // common.
+  const SweepCase cases[] = {{0.0, 0.0},   {1.0, 1.0},   {0.0, 1.0},
+                             {0.002, 0.005}, {0.3, 0.7}, {0.97, 1e-9}};
+  util::Xoshiro256 rng(8642);
+  constexpr std::size_t kSentinels = 2;
+  constexpr std::uint64_t kPoison = 0xDEADBEEFCAFEF00DULL;
+  // Sweeps start on a 64-node boundary (the kernel's contract) and run
+  // every length through three full mask words plus a partial fourth,
+  // then a whole agent-engine chunk and a ragged one.
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 3 * 64 + 9; ++len) lengths.push_back(len);
+  lengths.push_back(2048);
+  lengths.push_back(2043);
+  for (const std::size_t lo : {std::size_t{0}, std::size_t{64},
+                               std::size_t{4096}}) {
+    for (const std::size_t len : lengths) {
+      const std::size_t hi = lo + len;
+      // Exact-size inputs, so an overread past `hi` is a heap overflow.
+      std::vector<std::uint64_t> words((hi + 31) / 32);
+      for (std::size_t w = 0; w < words.size(); ++w) {
+        const std::uint64_t r = rng();
+        words[w] = r & ~((r & 0x5555555555555555ULL) << 1);
+        // Every fourth word all-R: no node in it may set a bit.
+        if (w % 4 == 3) words[w] = 0xAAAAAAAAAAAAAAAAULL;
+      }
+      std::vector<std::uint32_t> counts(hi);
+      for (auto& count : counts) {
+        count = rng.bernoulli(0.5) ? 0u : static_cast<std::uint32_t>(rng());
+      }
+      const std::uint64_t step_key = rng();
+      for (const SweepCase& c : cases) {
+        std::vector<std::uint64_t> want_recover, want_exposed;
+        reference_sweep(words, counts, lo, hi, step_key, c, want_recover,
+                        want_exposed);
+        const std::size_t nwords = want_recover.size();
+        for (const kern::Ops* ops : backends) {
+          std::vector<std::uint64_t> recover(nwords + kSentinels, kPoison);
+          std::vector<std::uint64_t> exposed(nwords + kSentinels, kPoison);
+          ops->sweep_draws(words.data(), counts.data(), lo, hi, step_key,
+                           util::bernoulli_threshold(c.p_immunize),
+                           util::bernoulli_threshold(c.p_block),
+                           recover.data(), exposed.data());
+          for (std::size_t w = 0; w < nwords + kSentinels; ++w) {
+            const std::uint64_t want_r =
+                w < nwords ? want_recover[w] : kPoison;
+            const std::uint64_t want_e =
+                w < nwords ? want_exposed[w] : kPoison;
+            ASSERT_EQ(recover[w], want_r)
+                << kern::to_string(ops->backend) << " recover word " << w
+                << " lo=" << lo << " len=" << len
+                << " p_immunize=" << c.p_immunize;
+            ASSERT_EQ(exposed[w], want_e)
+                << kern::to_string(ops->backend) << " exposed word " << w
+                << " lo=" << lo << " len=" << len
+                << " p_immunize=" << c.p_immunize;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernDispatch, ParseBackendRoundTrips) {
   EXPECT_EQ(kern::parse_backend("scalar"), kern::Backend::kScalar);
   EXPECT_EQ(kern::parse_backend("avx2"), kern::Backend::kAvx2);
@@ -414,6 +513,7 @@ TEST(KernDispatch, PublishedTablesAreComplete) {
     EXPECT_NE(ops.accumulate, nullptr);
     EXPECT_NE(ops.accumulate_sq, nullptr);
     EXPECT_NE(ops.census2, nullptr);
+    EXPECT_NE(ops.sweep_draws, nullptr);
   }
 }
 
@@ -758,6 +858,9 @@ TEST(KernDispatch, ZeroLengthIsValidEverywhere) {
     ops.census2(nullptr, 0, c);
     EXPECT_EQ(c[0], 0u);
     EXPECT_EQ(c[1], 0u);
+    std::uint64_t mask = 7;
+    ops.sweep_draws(nullptr, nullptr, 64, 64, 1, 2, 3, &mask, &mask);
+    EXPECT_EQ(mask, 7u);
   }
 }
 

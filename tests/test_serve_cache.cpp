@@ -22,6 +22,8 @@
 #include "util/error.hpp"
 #include "util/random.hpp"
 
+#include "temp_path.hpp"
+
 namespace rumor::serve {
 namespace {
 
@@ -30,11 +32,7 @@ namespace fs = std::filesystem;
 class ServeCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::temp_directory_path() /
-            ("rumor_cache_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
+    root_ = test::temp_path("cache");
     fs::remove_all(root_);
     fs::create_directories(root_);
   }

@@ -17,6 +17,8 @@
 #include "serve/scheduler.hpp"
 #include "util/random.hpp"
 
+#include "temp_path.hpp"
+
 namespace rumor::serve {
 namespace {
 
@@ -26,11 +28,7 @@ using namespace std::chrono_literals;
 class ServeSchedulerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::temp_directory_path() /
-            ("rumor_sched_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
+    root_ = test::temp_path("sched");
     fs::remove_all(root_);
     fs::create_directories(root_);
     util::Xoshiro256 rng(11);

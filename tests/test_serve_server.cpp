@@ -26,6 +26,8 @@
 #include "util/random.hpp"
 #include "util/socket.hpp"
 
+#include "temp_path.hpp"
+
 namespace rumor::serve {
 namespace {
 
@@ -35,11 +37,7 @@ using namespace std::chrono_literals;
 class ServeServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::temp_directory_path() /
-            ("rumor_serve_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
+    root_ = test::temp_path("serve");
     fs::remove_all(root_);
     fs::create_directories(root_);
     util::Xoshiro256 rng(23);
@@ -327,12 +325,24 @@ TEST_F(ServeServerTest, StreamJobRunsResumesAndMatchesUninterrupted) {
   EXPECT_GT(result->number_or("plans", -1.0), 0.0);
 
   // Preempt a second identical run, then let it resume: the decision
-  // and state CRCs must match the uninterrupted run's exactly.
-  const std::uint64_t victim_id = c.submit("stream", spec);
+  // and state CRCs must match the uninterrupted run's exactly. The run
+  // takes milliseconds, so on a loaded machine the poll can miss its
+  // running state and find it done; submit it again until a poll
+  // catches one running.
+  std::uint64_t victim_id = 0;
   const auto poll_deadline = std::chrono::steady_clock::now() + 30s;
-  while (c.status(victim_id).find("state")->as_string() != "running") {
-    ASSERT_LT(std::chrono::steady_clock::now(), poll_deadline);
-    std::this_thread::sleep_for(1ms);
+  for (bool running = false; !running;) {
+    victim_id = c.submit("stream", spec);
+    std::string state = c.status(victim_id).find("state")->as_string();
+    while (state == "queued") {
+      ASSERT_LT(std::chrono::steady_clock::now(), poll_deadline);
+      std::this_thread::sleep_for(1ms);
+      state = c.status(victim_id).find("state")->as_string();
+    }
+    running = state == "running";
+    if (!running) {
+      ASSERT_EQ(state, "done") << c.status(victim_id).dump();
+    }
   }
   io::JsonValue intruder_spec = spec_with_graph();
   intruder_spec.set("t_end", 1.0);

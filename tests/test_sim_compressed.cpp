@@ -26,6 +26,8 @@
 #include "util/parallel.hpp"
 #include "util/random.hpp"
 
+#include "temp_path.hpp"
+
 namespace {
 
 using namespace rumor;
@@ -39,9 +41,7 @@ class ThreadCountGuard {
   ~ThreadCountGuard() { util::set_num_threads(0); }
 };
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / ("rumor_simz_" + name)).string();
-}
+using rumor::test::temp_path;
 
 sim::AgentParams test_params(sim::AgentEngine engine) {
   sim::AgentParams params;

@@ -9,7 +9,6 @@
 // saving with the deterministic edges_scanned() work counter.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -25,6 +24,8 @@
 #include "sim/checkpoint.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
+
+#include "temp_path.hpp"
 
 namespace rumor::sim {
 namespace {
@@ -97,6 +98,21 @@ TEST(SimFrontier, MatchesDenseWithImmunization) {
   const auto g = test_graph();
   const auto params = base_params(0.02, 0.15);
   const auto dense = run_engine(g, params, AgentEngine::kDense, 1, 80);
+  for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+    expect_identical(dense, run_engine(g, params, AgentEngine::kFrontier,
+                                       threads, 80));
+  }
+}
+
+TEST(SimFrontier, MatchesDenseWithImmunizationOnRaggedLastChunk) {
+  // 5003 nodes: the last full-sweep chunk holds 907 nodes and ends in a
+  // mask word of 11, which no vector width divides, so the sweep
+  // kernel's per-node remainder decides real nodes every step.
+  util::Xoshiro256 rng(53);
+  const auto g = graph::barabasi_albert(5003, 4, rng);
+  const auto params = base_params(0.02, 0.1);
+  const auto dense = run_engine(g, params, AgentEngine::kDense, 1, 80);
+  EXPECT_GT(dense.ever_infected, 200u);  // the rumor really spreads
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
     expect_identical(dense, run_engine(g, params, AgentEngine::kFrontier,
                                        threads, 80));
@@ -183,7 +199,7 @@ TEST(SimFrontier, MatchesDenseAcrossControlScheduleModeSwitches) {
 struct TempFile {
   std::string path;
   explicit TempFile(const std::string& name) {
-    path = (std::filesystem::temp_directory_path() / name).string();
+    path = test::temp_path(name);
   }
   ~TempFile() {
     std::error_code ec;
@@ -242,10 +258,12 @@ TEST(SimFrontier, FrontierCheckpointRoundTripsHazardBitwise) {
   load_agent_checkpoint(resumed, file.path);
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
     const auto id = static_cast<graph::NodeId>(v);
-    // Bitwise: both sides are the same fixed-order gather — the
+    // Exact: both sides come from the same fixed-order gather — the
     // uninterrupted run's memo (or its re-gather when stale) and the
     // resumed run's rebuild from the restored node states.
-    EXPECT_EQ(simulation.hazard(id), resumed.hazard(id)) << "node " << v;
+    EXPECT_EQ(simulation.infection_threshold(id),
+              resumed.infection_threshold(id))
+        << "node " << v;
     EXPECT_EQ(simulation.exposure_count(id), resumed.exposure_count(id));
   }
   EXPECT_EQ(simulation.active_count(), resumed.active_count());
@@ -315,8 +333,8 @@ TEST(SimFrontier, StaleHazardSectionIsIgnoredOnResume) {
   load_agent_checkpoint(resumed, file.path);
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
     const auto id = static_cast<graph::NodeId>(v);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(simulation.hazard(id)),
-              std::bit_cast<std::uint64_t>(resumed.hazard(id)))
+    EXPECT_EQ(simulation.infection_threshold(id),
+              resumed.infection_threshold(id))
         << "node " << v;
   }
   for (int s = 40; s < 80; ++s) resumed.step();
@@ -335,8 +353,9 @@ TEST(SimFrontier, MemoizedHazardIsExactGatherUnderStress) {
   // seeding and blocking (the operations that scatter exposure deltas),
   // under a schedule that switches ε1 on and off so both decision paths
   // (full sweep and active list) write memos. Every few steps,
-  // cross-check the exposure counts and the hazards — bit for bit, as
-  // the dispatched gather_sum kernel over v's CSR list — against a fresh
+  // cross-check the exposure counts and the memoized infection
+  // thresholds — exactly, as bernoulli_threshold of the trial on the
+  // dispatched gather_sum kernel over v's CSR list — against a fresh
   // recomputation from the node states, and verify the active set is
   // exactly {susceptible v : exposure_count(v) > 0}.
   util::Xoshiro256 graph_rng(29);
@@ -351,10 +370,12 @@ TEST(SimFrontier, MemoizedHazardIsExactGatherUnderStress) {
           [](double) { return 0.2; }));
 
   std::vector<double> omega_over_k(g.num_nodes(), 0.0);
+  std::vector<double> lambda_over_k(g.num_nodes(), 0.0);
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
     const auto k =
         static_cast<double>(g.degree(static_cast<graph::NodeId>(v)));
     omega_over_k[v] = k > 0.0 ? params.omega(k) / k : 0.0;
+    lambda_over_k[v] = k > 0.0 ? params.lambda(k) / k : 0.0;
   }
 
   const kern::Ops& ops = kern::ops();
@@ -392,9 +413,13 @@ TEST(SimFrontier, MemoizedHazardIsExactGatherUnderStress) {
       }
       const double fresh = ops.gather_sum(infected_weight.data(),
                                           sources.data(), sources.size());
+      const double rate = lambda_over_k[v] * fresh;
+      const std::uint64_t threshold =
+          fresh > 0.0
+              ? util::bernoulli_threshold(1.0 - std::exp(-rate * params.dt))
+              : 0;
       ASSERT_EQ(simulation.exposure_count(id), count) << "node " << v;
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(simulation.hazard(id)),
-                std::bit_cast<std::uint64_t>(fresh))
+      ASSERT_EQ(simulation.infection_threshold(id), threshold)
           << "node " << v;
       if (simulation.state(id) == Compartment::kSusceptible && count > 0) {
         ++expected_active;

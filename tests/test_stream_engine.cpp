@@ -8,13 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "stream/scenario.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+
+#include "temp_path.hpp"
 
 namespace rumor::stream {
 namespace {
@@ -59,9 +60,7 @@ StreamEngine run_all(const StreamConfig& config,
   return engine;
 }
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using rumor::test::temp_path;
 
 TEST(StreamEngine, ReplayIsBitIdenticalAcrossThreadCounts) {
   const std::vector<Event> events = make_scenario(small_scenario());

@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "stream/live_graph.hpp"
 #include "util/error.hpp"
+
+#include "temp_path.hpp"
 
 namespace rumor::stream {
 namespace {
@@ -95,9 +96,7 @@ TEST(EventLog, TruncatedBinaryRecordThrows) {
 }
 
 TEST(EventLog, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rumor_events_test.bin")
-          .string();
+  const std::string path = test::temp_path("events.bin");
   const std::vector<Event> events = sample_events();
   save_event_log(events, path, EventLogWriter::Format::kBinary);
   EXPECT_EQ(load_event_log(path), events);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -195,6 +197,107 @@ TEST(SampleWithoutReplacement, IsApproximatelyUniform) {
   // Each index is chosen with probability 3/10.
   for (const int c : counts) {
     EXPECT_NEAR(c / static_cast<double>(trials), 0.3, 0.02);
+  }
+}
+
+// ---- bernoulli_threshold: the integer form of CounterRng::bernoulli --
+
+// What CounterRng::uniform() returns for a draw x with x >> 11 == m.
+double uniform_of(std::uint64_t m) {
+  return static_cast<double>(m) * 0x1.0p-53;
+}
+
+constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+
+// The rule at its boundary: for T = bernoulli_threshold(p) with p in
+// (0, 1), the draw just below T succeeds and the draw at T fails under
+// the floating-point rule too. Random draws almost never land there.
+void expect_boundary_exact(double p) {
+  const std::uint64_t t = bernoulli_threshold(p);
+  ASSERT_GE(t, 1u) << "p=" << p;
+  ASSERT_LE(t, kTwo53) << "p=" << p;
+  EXPECT_TRUE(uniform_of(t - 1) < p) << "m = T - 1, p=" << p;
+  if (t < kTwo53) {
+    EXPECT_FALSE(uniform_of(t) < p) << "m = T, p=" << p;
+  }
+}
+
+TEST(BernoulliThreshold, DegenerateProbabilities) {
+  // p <= 0 (and NaN) never succeed: threshold 0 admits no draw.
+  for (const double p : {0.0, -0.0, -1e-300, -1.0,
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(bernoulli_threshold(p), 0u) << "p=" << p;
+  }
+  // p >= 1 always succeeds: every 53-bit draw, up to 2^53 - 1, is below.
+  for (const double p : {1.0, std::nextafter(1.0, 2.0), 1.5, 1e300,
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(bernoulli_threshold(p), kTwo53) << "p=" << p;
+  }
+  EXPECT_LT(kTwo53 - 1, bernoulli_threshold(1.0));
+}
+
+TEST(BernoulliThreshold, DyadicProbabilitiesAndTheirNeighbours) {
+  // p = k·2^-53 is exactly representable and m·2^-53 < k·2^-53 iff
+  // m < k, so T = k. One ulp above also admits m = k (T = k + 1). One
+  // ulp below still admits m = k - 1 while p <= 1/2, where an ulp is
+  // smaller than 2^-53 (T = k); above 1/2 an ulp is 2^-53 and the
+  // neighbour is (k - 1)·2^-53 itself (T = k - 1).
+  for (const std::uint64_t k :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{1000003}, kTwo53 / 2 - 1, kTwo53 / 2,
+        kTwo53 / 2 + 1, kTwo53 - 2, kTwo53 - 1}) {
+    const double p = static_cast<double>(k) * 0x1.0p-53;
+    ASSERT_EQ(static_cast<double>(k), p * 0x1.0p53) << "k=" << k;
+    EXPECT_EQ(bernoulli_threshold(p), k) << "k=" << k;
+    expect_boundary_exact(p);
+    const double up = std::nextafter(p, 1.0);
+    EXPECT_EQ(bernoulli_threshold(up), k + 1) << "k=" << k;
+    expect_boundary_exact(up);
+    const double down = std::nextafter(p, 0.0);
+    EXPECT_EQ(bernoulli_threshold(down), p <= 0.5 ? k : k - 1)
+        << "k=" << k;
+    expect_boundary_exact(down);
+  }
+  // The largest double below 1 is 1 - 2^-53: every draw but the top one.
+  EXPECT_EQ(bernoulli_threshold(std::nextafter(1.0, 0.0)), kTwo53 - 1);
+}
+
+TEST(BernoulliThreshold, TinyAndSubnormalProbabilities) {
+  // Any p > 0 admits m = 0 (0 < p), and nothing else while p <= 2^-53.
+  for (const double p : {std::numeric_limits<double>::denorm_min(),
+                         1e-310, std::numeric_limits<double>::min(),
+                         1e-300, 0x1.0p-60, 0x1.0p-54,
+                         std::nextafter(0x1.0p-53, 0.0), 0x1.0p-53}) {
+    EXPECT_EQ(bernoulli_threshold(p), 1u) << "p=" << p;
+    expect_boundary_exact(p);
+  }
+}
+
+TEST(BernoulliThreshold, BoundaryExactAcrossTheUnitInterval) {
+  Xoshiro256 rng(41);
+  for (int i = 0; i < 20000; ++i) {
+    // Log-uniform over (2^-64, 1) so every exponent is covered.
+    const double p = std::ldexp(0.5 + 0.5 * rng.uniform(),
+                                -static_cast<int>(rng.uniform_index(64)));
+    if (!(p < 1.0)) continue;
+    expect_boundary_exact(p);
+  }
+}
+
+TEST(BernoulliThreshold, BelowMatchesBernoulliOnTheSameStream) {
+  // CounterRng::below(T(p)) draws exactly as bernoulli(p) for p in
+  // (0, 1): same outcome, same draw consumed.
+  Xoshiro256 keys(43);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t key = keys();
+    const double p = keys.uniform();
+    if (!(p > 0.0)) continue;
+    CounterRng a(key);
+    CounterRng b(key);
+    ASSERT_EQ(a.bernoulli(p), b.below(bernoulli_threshold(p)))
+        << "key=" << key << " p=" << p;
+    ASSERT_EQ(a.next(), b.next());
   }
 }
 
