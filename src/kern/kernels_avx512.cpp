@@ -5,7 +5,19 @@
 // reductions keep 8 lane partials and fold at the end (tolerance).
 // dispatch.cpp only publishes this table after CPUID confirms
 // F+DQ+BW+VL.
+//
+// GCC 12's AVX-512 intrinsics (_mm512_reduce_add_*, the extract,
+// broadcast, shift, andnot and gather forms) pass an
+// _mm*_undefined_*() operand that -Wuninitialized reports once inlined,
+// which breaks -DRUMOR_WERROR=ON builds. The pragma covers the intrinsic
+// header's own lines only: this file's code keeps the warning, and the
+// generated instructions are exactly those of the plain intrinsics
+// (zero-masked rewrites of these calls compile to extra register moves).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 #include "kern/batch_impl.hpp"
 #include "kern/kern.hpp"

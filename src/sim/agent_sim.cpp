@@ -1,8 +1,11 @@
 #include "sim/agent_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -51,6 +54,50 @@ static_assert(kStepGrain % PackedCompartments::kNodesPerWord == 0,
 
 // Sentinel for "node not in this list" in the position indices.
 constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
+
+// Apply partitions: power-of-two node ranges, a function of n alone —
+// never of the thread count — at most kMaxApplyPartitions of them and
+// at least kMinPartitionNodes nodes each, so graphs up to that size
+// (rumord's 20k-node jobs) are one partition.
+constexpr std::size_t kMaxApplyPartitions = 64;
+constexpr std::size_t kMinPartitionNodes = 32768;
+static_assert(kMinPartitionNodes % kStepGrain == 0,
+              "partitions must be unions of step chunks");
+
+// Apply groups per round, and the planned ops below which a round is
+// one group and its replay runs inline (too little work for the pool).
+constexpr std::size_t kMaxApplyGroups = 32;
+constexpr std::size_t kMinGroupOps = 2048;
+
+// How many ops ahead the replay prefetches.
+constexpr std::uint32_t kReplayPrefetch = 16;
+
+// Apply-buffer floor, in ops (4 bytes each).
+constexpr std::size_t kMinApplyCapacity = std::size_t{1} << 18;
+
+// An apply op: the node id in the low 30 bits, the op in the top two.
+// Up/down: a source of the node entered/left I. Infect/recover: the
+// node's own transition to I/R.
+constexpr std::uint32_t kNodeMask = (std::uint32_t{1} << 30) - 1;
+constexpr std::uint32_t kOpUp = 0U << 30;
+constexpr std::uint32_t kOpDown = 1U << 30;
+constexpr std::uint32_t kOpInfect = 2U << 30;
+constexpr std::uint32_t kOpRecover = 3U << 30;
+
+// Calls fn(v) for entries [lo, hi) of the concatenation of the
+// partition slices of `list`: slice p begins at list + (p << shift) and
+// holds starts[p + 1] − starts[p] entries.
+template <typename Fn>
+void for_each_in_slices(const graph::NodeId* list, const std::size_t* starts,
+                        std::size_t parts, std::size_t shift, std::size_t lo,
+                        std::size_t hi, Fn&& fn) {
+  std::size_t p = static_cast<std::size_t>(
+      std::upper_bound(starts, starts + parts + 1, lo) - starts - 1);
+  for (std::size_t at = lo; at < hi; ++at) {
+    while (at >= starts[p + 1]) ++p;
+    fn(list[(p << shift) + (at - starts[p])]);
+  }
+}
 
 // Memoized-threshold mark for "a source changed compartment since the
 // last gather". Real thresholds are at most 2^53, so all-ones never
@@ -147,29 +194,21 @@ void AgentSimulation::init_common(std::uint64_t seed) {
   // Degree groups from a flat histogram (degrees are at most n): count,
   // then number the nonempty degrees in ascending order in place, and
   // evaluate λ(k)/k and ω(k)/k once per distinct degree.
-  std::vector<std::size_t> group_index(max_degree + 1, 0);
+  std::vector<std::uint32_t> group_index(max_degree + 1, 0);
   for (const std::uint32_t degree : degrees) ++group_index[degree];
-  std::vector<double> group_lambda_over_k, group_omega_over_k;
   for (std::size_t degree = 0; degree <= max_degree; ++degree) {
     const std::size_t count = group_index[degree];
     if (count == 0) continue;
-    group_index[degree] = group_degrees_.size();
+    group_index[degree] = static_cast<std::uint32_t>(group_degrees_.size());
     group_degrees_.push_back(degree);
     group_sizes_.push_back(count);
     const auto k = static_cast<double>(degree);
     // Isolated nodes cannot catch or spread.
-    group_lambda_over_k.push_back(k > 0.0 ? params_.lambda(k) / k : 0.0);
-    group_omega_over_k.push_back(k > 0.0 ? params_.omega(k) / k : 0.0);
+    group_lambda_over_k_.push_back(k > 0.0 ? params_.lambda(k) / k : 0.0);
+    group_omega_over_k_.push_back(k > 0.0 ? params_.omega(k) / k : 0.0);
   }
   group_of_.resize(n);
-  lambda_over_k_.resize(n);
-  omega_over_k_.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t group = group_index[degrees[v]];
-    group_of_[v] = group;
-    lambda_over_k_[v] = group_lambda_over_k[group];
-    omega_over_k_[v] = group_omega_over_k[group];
-  }
+  for (std::size_t v = 0; v < n; ++v) group_of_[v] = group_index[degrees[v]];
   // Every per-step buffer is sized once here so warm steps never touch
   // the allocator (pinned by tests/test_perf_alloc.cpp). A full sweep
   // needs ceil(n / grain) chunks; the sparse path runs two back-to-back
@@ -182,14 +221,50 @@ void AgentSimulation::init_common(std::uint64_t seed) {
     next_infected_weight_.assign(n, 0.0);
     chunk_deltas_.assign(max_chunks, StepDelta{});
   } else {
+    util::require(n <= std::size_t{kNodeMask} + 1,
+                  "AgentSimulation: the frontier engine supports at most "
+                  "2^30 nodes");
     exposure_count_.assign(n, 0);
     infection_threshold_.assign(n, 0);
     active_pos_.assign(n, kNoPos);
     infected_pos_.assign(n, kNoPos);
-    active_list_.reserve(n);
-    infected_list_.reserve(n);
+    const std::size_t partition_nodes = std::max(
+        kMinPartitionNodes,
+        std::bit_ceil((n + kMaxApplyPartitions - 1) / kMaxApplyPartitions));
+    partition_shift_ = static_cast<std::size_t>(
+        std::countr_zero(partition_nodes));
+    partitions_.assign((n + partition_nodes - 1) / partition_nodes,
+                       Partition{});
+    active_list_ = std::make_unique_for_overwrite<graph::NodeId[]>(n);
+    infected_list_ = std::make_unique_for_overwrite<graph::NodeId[]>(n);
     chunk_transitions_.resize(max_chunks);
     for (auto& buffer : chunk_transitions_) buffer.reserve(kStepGrain);
+    chunk_ops_.assign(max_chunks, 0);
+    // Apply capacity: a round holds at least one chunk, which plans at
+    // most kStepGrain self ops plus the kStepGrain largest degrees, and
+    // no apply plans more than n + Σ degree.
+    std::size_t degree_sum = 0;
+    std::size_t top_sum = std::min(n, kStepGrain);
+    std::size_t top_left = top_sum;
+    for (std::size_t gi = group_degrees_.size(); gi-- > 0;) {
+      degree_sum += group_sizes_[gi] * group_degrees_[gi];
+      const std::size_t take = std::min(top_left, group_sizes_[gi]);
+      top_sum += take * group_degrees_[gi];
+      top_left -= take;
+    }
+    apply_capacity_ =
+        std::min(n + degree_sum, std::max(kMinApplyCapacity, top_sum));
+    util::require(apply_capacity_ <= 0xFFFFFFFFu,
+                  "AgentSimulation: apply buffers exceed 2^32 ops");
+    if (partitions_.size() > 1) {  // one partition emits in place
+      apply_staging_ =
+          std::make_unique_for_overwrite<std::uint32_t[]>(apply_capacity_);
+    }
+    apply_ops_ =
+        std::make_unique_for_overwrite<std::uint32_t[]>(apply_capacity_);
+    group_chunk_.assign(kMaxApplyGroups + 1, 0);
+    group_slot_.assign(kMaxApplyGroups + 1, 0);
+    bucket_bounds_.assign(kMaxApplyGroups * (kMaxApplyPartitions + 1), 0);
   }
 }
 
@@ -235,17 +310,48 @@ void AgentSimulation::seed_random_infections(std::size_t count) {
 
 void AgentSimulation::seed_infections(
     const std::vector<graph::NodeId>& nodes) {
-  for (const graph::NodeId v : nodes) {
-    util::require(v < num_nodes(), "seed_infections: node out of range");
-    apply_transition(v, Compartment::kInfected);
-  }
+  move_nodes(nodes, Compartment::kInfected, "seed_infections");
 }
 
 void AgentSimulation::block_nodes(const std::vector<graph::NodeId>& nodes) {
+  move_nodes(nodes, Compartment::kRecovered, "block_nodes");
+}
+
+void AgentSimulation::move_nodes(const std::vector<graph::NodeId>& nodes,
+                                 Compartment to, const char* caller) {
   for (const graph::NodeId v : nodes) {
-    util::require(v < num_nodes(), "block_nodes: node out of range");
-    apply_transition(v, Compartment::kRecovered);
+    util::require(v < num_nodes(),
+                  std::string(caller) + ": node out of range");
   }
+  if (!frontier()) {
+    for (const graph::NodeId v : nodes) set_compartment(v, to);
+    return;
+  }
+  // An apply takes each node at most once: keep every node's first
+  // listing (a repeat is a no-op when applied in list order).
+  std::vector<std::pair<graph::NodeId, std::size_t>> keyed;
+  keyed.reserve(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) keyed.emplace_back(nodes[i], i);
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<bool> first_listing(nodes.size(), false);
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    if (i == 0 || keyed[i].first != keyed[i - 1].first) {
+      first_listing[keyed[i].second] = true;
+    }
+  }
+  std::size_t chunks = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (!first_listing[i]) continue;
+    if (chunks == 0 || chunk_transitions_[chunks - 1].size() == kStepGrain) {
+      chunk_transitions_[chunks].clear();
+      chunk_edges_[chunks] = 0;
+      chunk_ops_[chunks] = 0;
+      ++chunks;
+    }
+    chunk_transitions_[chunks - 1].push_back({nodes[i], to});
+    chunk_ops_[chunks - 1] += planned_ops(nodes[i]);
+  }
+  apply_chunks(chunks);
 }
 
 void AgentSimulation::set_control_schedule(
@@ -305,8 +411,8 @@ void AgentSimulation::step() {
                    recovered_before);
   m.infected.set(static_cast<double>(infected_count_));
   if (frontier()) {
-    m.frontier_active.set(static_cast<double>(active_list_.size()));
-    m.frontier_infected.set(static_cast<double>(infected_list_.size()));
+    m.frontier_active.set(static_cast<double>(active_count()));
+    m.frontier_infected.set(static_cast<double>(infected_count_));
   }
 }
 
@@ -344,10 +450,10 @@ void AgentSimulation::step_dense(double p_immunize, double p_block,
                 edges += sources.size();
                 const double hazard = gather_over(sources);
                 if (hazard > 0.0) {
-                  const double rate = lambda_over_k_[v] * hazard;
+                  const double rate = lambda_over_k(v) * hazard;
                   if (draw.bernoulli(1.0 - std::exp(-rate * dt))) {
                     next = Compartment::kInfected;
-                    weight = omega_over_k_[v];
+                    weight = omega_over_k(v);
                     --d.susceptible;
                     ++d.infected;
                     ++d.ever;
@@ -362,7 +468,7 @@ void AgentSimulation::step_dense(double p_immunize, double p_block,
                 next = Compartment::kRecovered;
                 --d.infected;
               } else {
-                weight = omega_over_k_[v];
+                weight = omega_over_k(v);
               }
               break;
             }
@@ -418,6 +524,7 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           auto& out = chunk_transitions_[chunk];
           out.clear();
           std::uint64_t edges = 0;
+          std::size_t ops = 0;
           std::uint64_t recover[kMaskWords];
           std::uint64_t exposed[kMaskWords];
           ops_->sweep_draws(state_.words(), exposure_count_.data(), lo, hi,
@@ -432,6 +539,10 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
               const auto v = static_cast<graph::NodeId>(lo + 64 * w + b);
               if ((recover[w] >> b) & 1U) {
                 out.push_back({v, Compartment::kRecovered});
+                // Only a blocked spreader scatters.
+                ops += state_.get(v) == Compartment::kInfected
+                           ? planned_ops(v)
+                           : 1;
                 continue;
               }
               const std::uint64_t threshold = memo_threshold(v, edges);
@@ -440,11 +551,13 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
                 draw.next();  // the immunization draw the kernel took
                 if (draw.below(threshold)) {
                   out.push_back({v, Compartment::kInfected});
+                  ops += planned_ops(v);
                 }
               }
             }
           }
           chunk_edges_[chunk] = edges;
+          chunk_ops_[chunk] = ops;
         });
   } else {
     // Sparse steps: only the active set (susceptibles with an infected
@@ -453,8 +566,17 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
     // trials are free, zero-hazard nodes never reach their infection
     // draw), and every node owns its own stream, so skipping them
     // cannot shift anyone else's randomness. With no immunization
-    // trial, the infection draw is each node's first.
-    const std::size_t active = active_list_.size();
+    // trial, the infection draw is each node's first. Both sets are
+    // walked as the concatenation of their partition slices, chunked in
+    // kStepGrain entries like one flat list.
+    const std::size_t parts = partitions_.size();
+    std::array<std::size_t, kMaxApplyPartitions + 1> active_at{};
+    std::array<std::size_t, kMaxApplyPartitions + 1> infected_at{};
+    for (std::size_t p = 0; p < parts; ++p) {
+      active_at[p + 1] = active_at[p] + partitions_[p].active;
+      infected_at[p + 1] = infected_at[p] + partitions_[p].infected;
+    }
+    const std::size_t active = active_at[parts];
     const std::size_t active_chunks =
         (active + kStepGrain - 1) / kStepGrain;
     util::parallel_for_chunks(
@@ -464,78 +586,240 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           auto& out = chunk_transitions_[chunk];
           out.clear();
           std::uint64_t edges = 0;
-          for (std::size_t at = lo; at < hi; ++at) {
-            const graph::NodeId v = active_list_[at];
-            const std::uint64_t threshold = memo_threshold(v, edges);
-            if (threshold > 0) {
-              util::CounterRng draw(util::hash_mix(step_key, v));
-              if (draw.below(threshold)) {
-                out.push_back({v, Compartment::kInfected});
-              }
-            }
-          }
+          std::size_t ops = 0;
+          for_each_in_slices(
+              active_list_.get(), active_at.data(), parts, partition_shift_,
+              lo, hi, [&](graph::NodeId v) {
+                const std::uint64_t threshold = memo_threshold(v, edges);
+                if (threshold > 0) {
+                  util::CounterRng draw(util::hash_mix(step_key, v));
+                  if (draw.below(threshold)) {
+                    out.push_back({v, Compartment::kInfected});
+                    ops += planned_ops(v);
+                  }
+                }
+              });
           chunk_edges_[chunk] = edges;
+          chunk_ops_[chunk] = ops;
         });
     used_chunks = active_chunks;
     if (t_block > 0) {
-      const std::size_t infected = infected_list_.size();
+      const std::size_t infected = infected_at[parts];
       util::parallel_for_chunks(
           std::size_t{0}, infected, kStepGrain,
           [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
             auto& out = chunk_transitions_[active_chunks + chunk];
             out.clear();
-            for (std::size_t at = lo; at < hi; ++at) {
-              const graph::NodeId v = infected_list_[at];
-              util::CounterRng draw(util::hash_mix(step_key, v));
-              if (draw.below(t_block)) {
-                out.push_back({v, Compartment::kRecovered});
-              }
-            }
+            std::size_t ops = 0;
+            for_each_in_slices(
+                infected_list_.get(), infected_at.data(), parts,
+                partition_shift_, lo, hi, [&](graph::NodeId v) {
+                  util::CounterRng draw(util::hash_mix(step_key, v));
+                  if (draw.below(t_block)) {
+                    out.push_back({v, Compartment::kRecovered});
+                    ops += planned_ops(v);
+                  }
+                });
             chunk_edges_[active_chunks + chunk] = 0;
+            chunk_ops_[active_chunks + chunk] = ops;
           });
       used_chunks += (infected + kStepGrain - 1) / kStepGrain;
     }
   }
 
-  // Apply phase, serial and in chunk order: decisions were made against
-  // the step-start state, each node appears at most once, and integer
-  // exposure-count updates and stale marks commute — so the trajectory
-  // is identical for any thread count (and to the dense engine's
-  // double-buffered swap).
-  for (std::size_t c = 0; c < used_chunks; ++c) {
-    for (const Transition& t : chunk_transitions_[c]) {
-      apply_transition(t.node, t.to);
+  // Decisions were made against the step-start state and each node
+  // appears at most once, so applying them in chunk order reproduces
+  // the dense engine's double-buffered swap.
+  apply_chunks(used_chunks);
+}
+
+void AgentSimulation::apply_chunks(std::size_t chunks) {
+  // Rounds: maximal runs of chunks whose planned ops fit the apply
+  // buffers (every chunk fits on its own — see init_common). Usually
+  // one round covers the whole apply.
+  std::size_t first = 0;
+  while (first < chunks) {
+    std::size_t last = first;
+    std::size_t ops = 0;
+    while (last < chunks && ops + chunk_ops_[last] <= apply_capacity_) {
+      ops += chunk_ops_[last++];
     }
-    edges_scanned_ += chunk_edges_[c];
+    if (ops > 0) apply_round(first, last, ops);
+    first = last;
+  }
+  for (std::size_t c = 0; c < chunks; ++c) edges_scanned_ += chunk_edges_[c];
+}
+
+void AgentSimulation::apply_round(std::size_t first, std::size_t last,
+                                  std::size_t ops) {
+  // Groups: contiguous runs of chunks of about ops / kMaxApplyGroups
+  // planned ops each. Each group owns the op slots its chunks planned.
+  const std::size_t target =
+      std::max(kMinGroupOps, (ops + kMaxApplyGroups - 1) / kMaxApplyGroups);
+  std::size_t groups = 0;
+  std::size_t group_ops = 0;
+  std::size_t slot = 0;
+  group_chunk_[0] = first;
+  group_slot_[0] = 0;
+  for (std::size_t c = first; c < last; ++c) {
+    if (group_ops >= target && groups + 1 < kMaxApplyGroups) {
+      ++groups;
+      group_chunk_[groups] = c;
+      group_slot_[groups] = slot;
+      group_ops = 0;
+    }
+    group_ops += chunk_ops_[c];
+    slot += chunk_ops_[c];
+  }
+  ++groups;
+  group_chunk_[groups] = last;
+  group_slot_[groups] = slot;
+
+  // Phase A, parallel over groups: read each transition's from-state,
+  // decode the neighbor list once for a node that enters or leaves I,
+  // and emit its ops — the node's own op, then one up/down op per
+  // scatter target in CSR order — then counting-sort them into one
+  // bucket per partition, each bucket in emission order. Reads only
+  // step-start state; writes only the group's own slots and chunks.
+  const std::size_t parts = partitions_.size();
+  constexpr std::size_t kStride = kMaxApplyPartitions + 1;
+  util::parallel_for_chunks(
+      std::size_t{0}, groups, 1,
+      [&](std::size_t g, std::size_t, std::size_t) {
+        const obs::TraceSpan span("sim.scatter");
+        // One partition: emission order is bucket order, so emit in place.
+        std::uint32_t* const staged =
+            (parts == 1 ? apply_ops_ : apply_staging_).get() + group_slot_[g];
+        std::array<std::uint32_t, kMaxApplyPartitions> count{};
+        std::size_t emitted = 0;
+        for (std::size_t c = group_chunk_[g]; c < group_chunk_[g + 1]; ++c) {
+          std::uint64_t edges = 0;
+          for (const Transition& t : chunk_transitions_[c]) {
+            const Compartment from = state_.get(t.node);
+            if (from == t.to) continue;
+            const bool infects = t.to == Compartment::kInfected;
+            staged[emitted++] = t.node | (infects ? kOpInfect : kOpRecover);
+            ++count[partition_of(t.node)];
+            if (!infects && from != Compartment::kInfected) continue;
+            const std::uint32_t op = infects ? kOpUp : kOpDown;
+            const auto targets = neighbors_of(t.node);
+            for (const graph::NodeId u : targets) {
+              staged[emitted++] = u | op;
+              ++count[partition_of(u)];
+            }
+            edges += targets.size();
+          }
+          chunk_edges_[c] += edges;
+        }
+        std::uint32_t* const bounds = bucket_bounds_.data() + g * kStride;
+        std::array<std::uint32_t, kMaxApplyPartitions> cursor;
+        auto at = static_cast<std::uint32_t>(group_slot_[g]);
+        for (std::size_t p = 0; p < parts; ++p) {
+          bounds[p] = cursor[p] = at;
+          at += count[p];
+        }
+        bounds[parts] = at;
+        if (parts == 1) return;
+        std::uint32_t* const sorted = apply_ops_.get();
+        for (std::size_t i = 0; i < emitted; ++i) {
+          const std::uint32_t e = staged[i];
+          sorted[cursor[partition_of(e & kNodeMask)]++] = e;
+        }
+      });
+
+  // Phase B, parallel over partitions: each replays its buckets in
+  // group order — the serial apply order restricted to its own nodes —
+  // and is the only writer of those nodes' entries, so no atomics are
+  // needed and the result is the same for every thread count.
+  if (ops < kMinGroupOps) {  // one group: replay inline
+    for (std::size_t p = 0; p < parts; ++p) replay_partition(p, groups);
+  } else {
+    util::parallel_for_chunks(
+        std::size_t{0}, parts, 1,
+        [&](std::size_t p, std::size_t, std::size_t) {
+          const obs::TraceSpan span("sim.replay");
+          replay_partition(p, groups);
+        });
+  }
+  for (const Partition& part : partitions_) {
+    susceptible_count_ = static_cast<std::size_t>(
+        static_cast<std::int64_t>(susceptible_count_) +
+        part.delta.susceptible);
+    infected_count_ = static_cast<std::size_t>(
+        static_cast<std::int64_t>(infected_count_) + part.delta.infected);
+    ever_infected_ += static_cast<std::size_t>(part.delta.ever);
   }
 }
 
-void AgentSimulation::apply_transition(graph::NodeId v, Compartment to) {
+void AgentSimulation::replay_partition(std::size_t p, std::size_t groups) {
+  constexpr std::size_t kStride = kMaxApplyPartitions + 1;
+  const std::uint32_t* const ops = apply_ops_.get();
+  StepDelta d;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::uint32_t* const bounds = bucket_bounds_.data() + g * kStride;
+    const std::uint32_t end = bounds[p + 1];
+    for (std::uint32_t i = bounds[p]; i < end; ++i) {
+      // The op stream is known ahead, so fetch the memo and count lines
+      // of a later op while this one waits on its own (random) lines.
+      if (i + kReplayPrefetch < end) {
+        const std::uint32_t ahead = ops[i + kReplayPrefetch] & kNodeMask;
+        __builtin_prefetch(&infection_threshold_[ahead], 1);
+        __builtin_prefetch(&exposure_count_[ahead], 1);
+      }
+      const std::uint32_t e = ops[i];
+      const graph::NodeId v = e & kNodeMask;
+      switch (e & ~kNodeMask) {
+        case kOpUp:
+          // v's gather input changed: mark its memo stale.
+          infection_threshold_[v] = kStaleThreshold;
+          if (++exposure_count_[v] == 1 &&
+              state_.get(v) == Compartment::kSusceptible) {
+            active_add(v);
+          }
+          break;
+        case kOpDown:
+          infection_threshold_[v] = kStaleThreshold;
+          if (--exposure_count_[v] == 0) active_remove_if_present(v);
+          break;
+        default: {
+          // Phase A dropped transitions to the current compartment.
+          const Compartment from = state_.get(v);
+          if (from == Compartment::kSusceptible) {
+            --d.susceptible;
+            active_remove_if_present(v);
+          } else if (from == Compartment::kInfected) {
+            --d.infected;
+            infected_remove(v);
+            infected_weight_[v] = 0.0;
+          }
+          if ((e & ~kNodeMask) == kOpInfect) {
+            ++d.infected;
+            ++d.ever;  // counts re-seeding of recovered nodes too
+            infected_add(v);
+            infected_weight_[v] = omega_over_k(v);
+            state_.set(v, Compartment::kInfected);
+          } else {
+            state_.set(v, Compartment::kRecovered);
+          }
+          break;
+        }
+      }
+    }
+  }
+  partitions_[p].delta = d;
+}
+
+void AgentSimulation::set_compartment(graph::NodeId v, Compartment to) {
   const Compartment from = state_.get(v);
   if (from == to) return;
   if (from == Compartment::kSusceptible) --susceptible_count_;
   if (from == Compartment::kInfected) --infected_count_;
-  if (to == Compartment::kSusceptible) ++susceptible_count_;
   if (to == Compartment::kInfected) {
     ++infected_count_;
     ++ever_infected_;  // counts re-seeding of recovered nodes too
   }
   state_.set(v, to);
-  if (frontier()) {
-    if (from == Compartment::kSusceptible) active_remove_if_present(v);
-    if (from == Compartment::kInfected) infected_remove(v);
-    if (to == Compartment::kInfected) infected_add(v);
-    if (to == Compartment::kSusceptible && exposure_count_[v] > 0) {
-      active_add(v);
-    }
-  }
-  if (to == Compartment::kInfected) {
-    infected_weight_[v] = omega_over_k_[v];
-    if (frontier()) scatter_infectiousness(v, true);
-  } else if (from == Compartment::kInfected) {
-    infected_weight_[v] = 0.0;
-    if (frontier()) scatter_infectiousness(v, false);
-  }
+  infected_weight_[v] = to == Compartment::kInfected ? omega_over_k(v) : 0.0;
 }
 
 std::uint64_t AgentSimulation::threshold_of(std::size_t v,
@@ -543,7 +827,7 @@ std::uint64_t AgentSimulation::threshold_of(std::size_t v,
   // The dense engine's infection trial: a zero hazard never reaches its
   // draw, otherwise bernoulli(1 − exp(−rate·dt)).
   if (!(hazard > 0.0)) return 0;
-  const double rate = lambda_over_k_[v] * hazard;
+  const double rate = lambda_over_k(v) * hazard;
   return util::bernoulli_threshold(1.0 - std::exp(-rate * params_.dt));
 }
 
@@ -560,53 +844,40 @@ std::uint64_t AgentSimulation::memo_threshold(std::size_t v,
   return memo;
 }
 
-void AgentSimulation::scatter_infectiousness(graph::NodeId u,
-                                             bool became_infectious) {
-  // u's out-neighbors are exactly the nodes whose exposure list
-  // contains u (for undirected graphs, neighbors == exposure sources).
-  // Every change to a gather input (u's infected weight) passes through
-  // here, so marking the targets stale keeps each memo exact.
-  const auto targets = neighbors_of(u);
-  for (const graph::NodeId t : targets) {
-    infection_threshold_[t] = kStaleThreshold;
-    std::uint32_t& count = exposure_count_[t];
-    if (became_infectious) {
-      if (++count == 1 && state_.get(t) == Compartment::kSusceptible) {
-        active_add(t);
-      }
-    } else if (--count == 0) {
-      active_remove_if_present(t);
-    }
-  }
-  edges_scanned_ += targets.size();
-}
-
 void AgentSimulation::active_add(graph::NodeId v) {
-  active_pos_[v] = static_cast<std::uint32_t>(active_list_.size());
-  active_list_.push_back(v);
+  const std::size_t p = partition_of(v);
+  const auto at =
+      static_cast<std::uint32_t>(slice_begin(p) + partitions_[p].active++);
+  active_list_[at] = v;
+  active_pos_[v] = at;
 }
 
 void AgentSimulation::active_remove_if_present(graph::NodeId v) {
   const std::uint32_t at = active_pos_[v];
   if (at == kNoPos) return;
-  const graph::NodeId last = active_list_.back();
+  const std::size_t p = partition_of(v);
+  const graph::NodeId last =
+      active_list_[slice_begin(p) + --partitions_[p].active];
   active_list_[at] = last;
   active_pos_[last] = at;
-  active_list_.pop_back();
   active_pos_[v] = kNoPos;
 }
 
 void AgentSimulation::infected_add(graph::NodeId v) {
-  infected_pos_[v] = static_cast<std::uint32_t>(infected_list_.size());
-  infected_list_.push_back(v);
+  const std::size_t p = partition_of(v);
+  const auto at =
+      static_cast<std::uint32_t>(slice_begin(p) + partitions_[p].infected++);
+  infected_list_[at] = v;
+  infected_pos_[v] = at;
 }
 
 void AgentSimulation::infected_remove(graph::NodeId v) {
   const std::uint32_t at = infected_pos_[v];
-  const graph::NodeId last = infected_list_.back();
+  const std::size_t p = partition_of(v);
+  const graph::NodeId last =
+      infected_list_[slice_begin(p) + --partitions_[p].infected];
   infected_list_[at] = last;
   infected_pos_[last] = at;
-  infected_list_.pop_back();
   infected_pos_[v] = kNoPos;
 }
 
@@ -614,8 +885,7 @@ void AgentSimulation::rebuild_frontier() {
   const std::size_t n = num_nodes();
   std::fill(active_pos_.begin(), active_pos_.end(), kNoPos);
   std::fill(infected_pos_.begin(), infected_pos_.end(), kNoPos);
-  active_list_.clear();
-  infected_list_.clear();
+  std::fill(partitions_.begin(), partitions_.end(), Partition{});
   for (std::size_t v = 0; v < n; ++v) {
     const auto sources = exposure_sources(v);
     std::uint32_t count = 0;
@@ -653,7 +923,34 @@ std::uint32_t AgentSimulation::exposure_count(graph::NodeId v) const {
 
 std::size_t AgentSimulation::active_count() const {
   util::require(frontier(), "active_count: frontier engine only");
-  return active_list_.size();
+  std::size_t total = 0;
+  for (const Partition& part : partitions_) total += part.active;
+  return total;
+}
+
+std::vector<graph::NodeId> AgentSimulation::concat_slices(
+    const graph::NodeId* list, std::uint32_t Partition::*length) const {
+  std::vector<graph::NodeId> out;
+  for (std::size_t p = 0; p < partitions_.size(); ++p) {
+    const graph::NodeId* slice = list + slice_begin(p);
+    out.insert(out.end(), slice, slice + partitions_[p].*length);
+  }
+  return out;
+}
+
+std::vector<graph::NodeId> AgentSimulation::active_nodes() const {
+  util::require(frontier(), "active_nodes: frontier engine only");
+  return concat_slices(active_list_.get(), &Partition::active);
+}
+
+std::vector<graph::NodeId> AgentSimulation::infected_nodes() const {
+  util::require(frontier(), "infected_nodes: frontier engine only");
+  return concat_slices(infected_list_.get(), &Partition::infected);
+}
+
+std::size_t AgentSimulation::partition_nodes() const {
+  util::require(frontier(), "partition_nodes: frontier engine only");
+  return std::size_t{1} << partition_shift_;
 }
 
 AgentCheckpoint AgentSimulation::checkpoint() const {
@@ -686,8 +983,7 @@ void AgentSimulation::restore(const AgentCheckpoint& checkpoint) {
     util::require(c <= Compartment::kRecovered,
                   "AgentSimulation::restore: invalid compartment");
     state_.set(v, c);
-    infected_weight_[v] =
-        c == Compartment::kInfected ? omega_over_k_[v] : 0.0;
+    infected_weight_[v] = c == Compartment::kInfected ? omega_over_k(v) : 0.0;
   }
   std::size_t infected = 0, recovered = 0;
   state_.census(infected, recovered);

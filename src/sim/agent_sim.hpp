@@ -55,6 +55,17 @@
 //    draw as an integer compare, 8 or 4 nodes per vector, and only the
 //    exposed susceptibles it flags consult the memo.
 //
+//    Decisions are recorded per chunk and then applied in parallel
+//    without atomics: nodes fall into fixed partitions (power-of-two
+//    ranges of at least 32768 ids, at most 64 of them, a function of n
+//    alone), and each partition is the only writer of its nodes' state,
+//    weights, exposure counts, stale marks and active/infected list
+//    slices. Phase A turns each group of chunks' transitions into
+//    self/up/down ops bucketed by owning partition (decoding a flipping
+//    node's neighbor list once); phase B replays every partition's
+//    buckets in chunk order — the serial apply order restricted to its
+//    own nodes — so the result does not depend on the thread count.
+//
 // Because the per-node draw streams are shared, a threshold compare
 // decides exactly as CounterRng::bernoulli, and a memoized threshold
 // comes from the *same* fixed-order CSR gather the dense engine
@@ -166,11 +177,14 @@ class AgentSimulation {
   /// Infect `count` uniformly random susceptible nodes.
   void seed_random_infections(std::size_t count);
 
-  /// Infect the given nodes (any current state becomes infected).
+  /// Infect the given nodes (any current state becomes infected,
+  /// recovered ones included; a node already infected, or listed again,
+  /// is left as it is).
   void seed_infections(const std::vector<graph::NodeId>& nodes);
 
   /// Immunize the given nodes up front (state := recovered) — the
   /// "blocking influential users" strategies from the paper's intro.
+  /// Repeats and already-recovered nodes are no-ops.
   void block_nodes(const std::vector<graph::NodeId>& nodes);
 
   /// Drive ε1/ε2 from a time-varying schedule (e.g. an optimized policy
@@ -243,8 +257,19 @@ class AgentSimulation {
   std::uint32_t exposure_count(graph::NodeId v) const;
 
   /// Frontier engine only: size of the active set (susceptible nodes
-  /// with at least one infected exposure source).
+  /// with at least one infected exposure source). O(partitions).
   std::size_t active_count() const;
+
+  /// Frontier engine only: the active and infected sets in the order a
+  /// sparse step visits them — each partition's slice, partitions in
+  /// ascending order. For tests of the apply's ordering contract.
+  std::vector<graph::NodeId> active_nodes() const;
+  std::vector<graph::NodeId> infected_nodes() const;
+
+  /// Frontier engine only: nodes per apply partition. Node v belongs to
+  /// partition v / partition_nodes(); the value is a function of
+  /// num_nodes() alone (see apply_chunks).
+  std::size_t partition_nodes() const;
 
   /// Capture the dynamic state for checkpointing.
   AgentCheckpoint checkpoint() const;
@@ -259,20 +284,34 @@ class AgentSimulation {
   void restore(const AgentCheckpoint& checkpoint);
 
  private:
-  /// A state flip decided during a step, recorded in per-chunk buffers
-  /// and applied in chunk order — the deterministic two-phase scatter
-  /// that keeps the frontier engine's incremental structures
-  /// thread-count invariant.
+  /// A state flip decided during a step, or requested by
+  /// seed_infections / block_nodes, recorded in per-chunk buffers. `to`
+  /// is kInfected or kRecovered (nothing moves a node back to S). The
+  /// apply replays the records in chunk order, each node partition
+  /// restricted to its own nodes (apply_chunks), which keeps the
+  /// frontier structures thread-count invariant. A node appears in at
+  /// most one record per apply.
   struct Transition {
     graph::NodeId node;
     Compartment to;
   };
 
-  /// Per-chunk census deltas for the dense engine's reduction.
+  /// Census deltas: per chunk for the dense engine's reduction, per
+  /// partition for the frontier apply's.
   struct StepDelta {
     std::int64_t susceptible = 0;
     std::int64_t infected = 0;
     std::int64_t ever = 0;
+  };
+
+  /// One node partition's share of the frontier structures: the lengths
+  /// of its active and infected slices and its census delta of the
+  /// current apply round. A cache line each — partitions are written by
+  /// different threads.
+  struct alignas(64) Partition {
+    std::uint32_t active = 0;
+    std::uint32_t infected = 0;
+    StepDelta delta;
   };
 
   /// Shared constructor body: everything derived from per-node degrees
@@ -314,6 +353,14 @@ class AgentSimulation {
                             sources.size());
   }
 
+  /// Per-degree-group rates, read through the node's group.
+  double lambda_over_k(std::size_t v) const {
+    return group_lambda_over_k_[group_of_[v]];
+  }
+  double omega_over_k(std::size_t v) const {
+    return group_omega_over_k_[group_of_[v]];
+  }
+
   /// The integer threshold of v's infection trial given its gathered
   /// hazard: 0 when the hazard is not positive (the dense engine never
   /// draws then), else bernoulli_threshold(1 − exp(−rate·dt)) with the
@@ -327,22 +374,55 @@ class AgentSimulation {
   /// write-back is race-free.
   std::uint64_t memo_threshold(std::size_t v, std::uint64_t& edges);
 
-  /// Flip v to `to`, maintaining counters, the infected-weight table
-  /// and (frontier engine) the exposure counts / threshold memo / active
-  /// and infected sets. No-op when v already is in `to`.
-  void apply_transition(graph::NodeId v, Compartment to);
+  /// Upper bound on the apply ops a transition of v emits: its self op
+  /// plus one per scatter target (v's degree bounds its out-degree).
+  std::size_t planned_ops(std::size_t v) const {
+    return 1 + group_degrees_[group_of_[v]];
+  }
 
-  /// Update the exposure count of every node u exposes and mark its
-  /// memoized threshold stale (u's weight in its gather just changed).
-  void scatter_infectiousness(graph::NodeId u, bool became_infectious);
+  /// Dense engine: flip v to `to`, maintaining the census counters and
+  /// the infected-weight table. No-op when v already is in `to`.
+  void set_compartment(graph::NodeId v, Compartment to);
 
+  /// seed_infections / block_nodes: move every listed node to `to`.
+  void move_nodes(const std::vector<graph::NodeId>& nodes, Compartment to,
+                  const char* caller);
+
+  /// Frontier engine: apply the transitions recorded in chunks [0,
+  /// chunks) — compartments, census counters, the infected-weight table,
+  /// exposure counts, stale marks and the active/infected slices — and
+  /// add the chunks' edge counts to edges_scanned_. chunk_ops_ must hold
+  /// each chunk's planned_ops sum. Parallel and thread-count invariant:
+  /// each partition replays, in chunk order, exactly the ops that touch
+  /// its own nodes.
+  void apply_chunks(std::size_t chunks);
+
+  /// One round of apply_chunks: chunks [first, last), whose planned ops
+  /// (`ops` in all) fit the apply buffers.
+  void apply_round(std::size_t first, std::size_t last, std::size_t ops);
+
+  /// Phase B of a round for partition p over `groups` groups.
+  void replay_partition(std::size_t p, std::size_t groups);
+
+  std::size_t partition_of(std::size_t v) const {
+    return v >> partition_shift_;
+  }
+  std::size_t slice_begin(std::size_t p) const {
+    return p << partition_shift_;
+  }
+
+  /// A list's partition slices, concatenated in partition order.
+  std::vector<graph::NodeId> concat_slices(
+      const graph::NodeId* list, std::uint32_t Partition::*length) const;
+
+  // Membership in the owning partition's active/infected slice.
   void active_add(graph::NodeId v);
   void active_remove_if_present(graph::NodeId v);
   void infected_add(graph::NodeId v);
   void infected_remove(graph::NodeId v);
 
   /// Rebuild exposure counts, the threshold memo and the active/infected
-  /// sets from the compartment array (restore path).
+  /// slices from the compartment array (restore path).
   void rebuild_frontier();
 
   bool frontier() const { return params_.engine == AgentEngine::kFrontier; }
@@ -360,8 +440,6 @@ class AgentSimulation {
   double time_ = 0.0;
   // Hot per-node state, SoA with 2-bit packed compartments.
   PackedCompartments state_;
-  std::vector<double> lambda_over_k_;  // λ(k_v)/k_v per node
-  std::vector<double> omega_over_k_;   // ω(k_u)/k_u per node
   // infected_weight_[u] = ω(k_u)/k_u while u is infected, else 0 —
   // makes the hazard gather a branch-free sum.
   std::vector<double> infected_weight_;
@@ -373,21 +451,46 @@ class AgentSimulation {
   // Memoized infection-trial threshold (threshold_of the gather);
   // all-ones: stale.
   std::vector<std::uint64_t> infection_threshold_;
-  std::vector<graph::NodeId> active_list_;     // S nodes with count > 0
-  std::vector<std::uint32_t> active_pos_;      // node → index, kNoPos if out
-  std::vector<graph::NodeId> infected_list_;
+  // Node partitions: v belongs to partition v >> partition_shift_, and
+  // only that partition's apply task writes v's entries in the per-node
+  // arrays above and below. The active (S with count > 0) and infected
+  // lists are n-sized arrays holding one slice per partition, starting
+  // at the partition's first node id and Partition::active / ::infected
+  // long; the *_pos_ arrays map a node to its index there (kNoPos if
+  // absent). Left uninitialised: only used slice prefixes are touched.
+  std::size_t partition_shift_ = 0;
+  std::vector<Partition> partitions_;
+  std::unique_ptr<graph::NodeId[]> active_list_;
+  std::vector<std::uint32_t> active_pos_;
+  std::unique_ptr<graph::NodeId[]> infected_list_;
   std::vector<std::uint32_t> infected_pos_;
   // Per-chunk transition buffers (capacity reserved up front: at most
-  // one transition per node, so warm steps never allocate).
+  // one transition per node, so warm steps never allocate), with each
+  // chunk's gathered-plus-scattered CSR entries and planned apply ops.
   std::vector<std::vector<Transition>> chunk_transitions_;
   std::vector<std::uint64_t> chunk_edges_;
+  std::vector<std::size_t> chunk_ops_;
   std::vector<StepDelta> chunk_deltas_;  // dense engine reduction
+  // Apply buffers, apply_capacity_ ops each, allocated once and left
+  // uninitialised (only the ops a round emits are touched): phase A's
+  // emission-order staging (absent with one partition, which emits in
+  // place) and its partition-bucketed copy, plus each
+  // round's group plan (first chunk and first op slot per group) and
+  // bucket bounds (kMaxApplyPartitions + 1 per group).
+  std::size_t apply_capacity_ = 0;
+  std::unique_ptr<std::uint32_t[]> apply_staging_;
+  std::unique_ptr<std::uint32_t[]> apply_ops_;
+  std::vector<std::size_t> group_chunk_;
+  std::vector<std::size_t> group_slot_;
+  std::vector<std::uint32_t> bucket_bounds_;
   // Reverse (in-neighbor) CSR, built once for directed graphs only.
   std::vector<std::size_t> exposure_offsets_;
   std::vector<graph::NodeId> exposure_sources_;
-  std::vector<std::size_t> group_of_;  // node → distinct-degree group
+  std::vector<std::uint32_t> group_of_;     // node → distinct-degree group
   std::vector<std::size_t> group_degrees_;  // sorted distinct degrees
   std::vector<std::size_t> group_sizes_;    // nodes per group
+  std::vector<double> group_lambda_over_k_;  // λ(k)/k per group
+  std::vector<double> group_omega_over_k_;   // ω(k)/k per group
   std::size_t susceptible_count_ = 0;
   std::size_t infected_count_ = 0;
   std::size_t ever_infected_ = 0;

@@ -8,8 +8,9 @@
 //
 // Thread-safety contract: concurrent set() calls are race-free only
 // when writers are partitioned into node ranges aligned to kNodesPerWord
-// (the agent step grain of 2048 is — see the static_assert in
-// agent_sim.cpp). Concurrent get() with no writer is always safe.
+// (the agent step grain of 2048 and the frontier apply's partitions,
+// unions of step chunks, are — see the static_asserts in agent_sim.cpp).
+// Concurrent get() with no writer is always safe.
 #pragma once
 
 #include <cstddef>

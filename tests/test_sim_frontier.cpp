@@ -9,6 +9,8 @@
 // saving with the deterministic edges_scanned() work counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -533,6 +535,387 @@ TEST(SimFrontier, StepAfterQuietStepGathersNothing) {
       before = after;
     }
     EXPECT_GT(checked, 10) << "eps1=" << eps1;
+  }
+}
+
+// ---- partitioned apply ---------------------------------------------
+
+// 2 × 32768 + 5003 nodes: three apply partitions, the last one ragged
+// (partitions are 32768 nodes until n exceeds 64 of them).
+constexpr std::size_t kMultiPartitionNodes = 2 * 32768 + 5003;
+
+graph::Graph multi_partition_graph() {
+  util::Xoshiro256 rng(61);
+  return graph::barabasi_albert(kMultiPartitionNodes, 4, rng);
+}
+
+// Faster spreading than base_params, so a few dozen steps reach every
+// partition of the larger graph.
+AgentParams multi_params(double eps1, double eps2) {
+  AgentParams params = base_params(eps1, eps2);
+  params.lambda = core::Acceptance::linear(3.0);
+  return params;
+}
+
+// ε1 switches on and off and ε2 turns on later, so runs cross both
+// decision paths and the mode switches between them.
+std::shared_ptr<const core::ControlSchedule> mode_switching_schedule() {
+  return std::make_shared<const core::FunctionControl>(
+      [](double t) { return std::fmod(t, 2.0) < 1.0 ? 0.0 : 0.05; },
+      [](double t) { return t >= 1.5 ? 0.1 : 0.0; });
+}
+
+Trajectory run_scheduled(const graph::Graph& g, AgentParams params,
+                         AgentEngine engine, std::size_t threads, int steps,
+                         std::shared_ptr<const core::ControlSchedule> schedule) {
+  ThreadCountGuard guard(threads);
+  params.engine = engine;
+  AgentSimulation simulation(g, params, /*seed=*/321);
+  simulation.seed_random_infections(10);
+  simulation.set_control_schedule(std::move(schedule));
+  Trajectory out;
+  out.history.push_back(simulation.census());
+  for (int s = 0; s < steps; ++s) {
+    simulation.step();
+    out.history.push_back(simulation.census());
+  }
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    out.final_state.push_back(simulation.state(static_cast<graph::NodeId>(v)));
+  }
+  out.ever_infected = simulation.ever_infected();
+  return out;
+}
+
+TEST(SimFrontier, PartitionSizeDependsOnNodeCountOnly) {
+  const auto g = multi_partition_graph();
+  for (const std::size_t threads : {1UL, 8UL}) {
+    ThreadCountGuard guard(threads);
+    AgentSimulation simulation(g, base_params(0.0, 0.1), /*seed=*/1);
+    EXPECT_EQ(simulation.partition_nodes(), 32768u);
+  }
+  // A graph below the floor is one partition.
+  AgentSimulation small(test_graph(), base_params(0.0, 0.1), /*seed=*/1);
+  EXPECT_GE(small.partition_nodes(), small.num_nodes());
+}
+
+TEST(SimFrontier, MatchesDenseOnMultiPartitionGraph) {
+  // The same contract as the single-partition tests above, on a graph
+  // whose apply splits into three partitions (the last ragged), so the
+  // per-partition replay, slices and census reduction all matter.
+  const auto g = multi_partition_graph();
+  struct Case {
+    const char* name;
+    double eps1, eps2;
+    bool scheduled;
+  };
+  for (const Case c : {Case{"immunization", 0.02, 0.1, false},
+                       Case{"sparse", 0.0, 0.1, false},
+                       Case{"mode switches", 0.0, 0.0, true}}) {
+    const auto params = multi_params(c.eps1, c.eps2);
+    const auto schedule = c.scheduled ? mode_switching_schedule() : nullptr;
+    const auto dense =
+        run_scheduled(g, params, AgentEngine::kDense, 1, 60, schedule);
+    // The rumor reaches every partition.
+    std::array<std::size_t, 3> reached{};
+    for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+      if (dense.final_state[v] != Compartment::kSusceptible) {
+        ++reached[v / 32768];
+      }
+    }
+    for (const std::size_t r : reached) EXPECT_GT(r, 100u) << c.name;
+    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+      SCOPED_TRACE(std::string(c.name) + ", threads " +
+                   std::to_string(threads));
+      expect_identical(dense, run_scheduled(g, params, AgentEngine::kFrontier,
+                                            threads, 60, schedule));
+    }
+  }
+}
+
+// Brute-force recount of the frontier structures from the node states.
+void expect_frontier_exact(const graph::Graph& g,
+                           const AgentSimulation& simulation) {
+  std::vector<graph::NodeId> expected_active, expected_infected;
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const auto id = static_cast<graph::NodeId>(v);
+    std::uint32_t count = 0;
+    for (const graph::NodeId u : g.neighbors(id)) {
+      if (simulation.state(u) == Compartment::kInfected) ++count;
+    }
+    ASSERT_EQ(simulation.exposure_count(id), count) << "node " << v;
+    if (simulation.state(id) == Compartment::kInfected) {
+      expected_infected.push_back(id);
+    } else if (simulation.state(id) == Compartment::kSusceptible &&
+               count > 0) {
+      expected_active.push_back(id);
+    }
+  }
+  EXPECT_EQ(simulation.active_count(), expected_active.size());
+  auto active = simulation.active_nodes();
+  auto infected = simulation.infected_nodes();
+  std::sort(active.begin(), active.end());
+  std::sort(infected.begin(), infected.end());
+  EXPECT_EQ(active, expected_active);
+  EXPECT_EQ(infected, expected_infected);
+  const Census census = simulation.census();
+  EXPECT_EQ(census.infected, expected_infected.size());
+  std::size_t susceptible = 0;
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    if (simulation.state(static_cast<graph::NodeId>(v)) ==
+        Compartment::kSusceptible) {
+      ++susceptible;
+    }
+  }
+  EXPECT_EQ(census.susceptible, susceptible);
+}
+
+TEST(SimFrontier, FrontierStructuresMatchBruteForceEveryStep) {
+  const auto g = multi_partition_graph();
+  for (const std::size_t threads : {2UL, 8UL}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadCountGuard guard(threads);
+    auto params = multi_params(0.0, 0.0);
+    params.engine = AgentEngine::kFrontier;
+    AgentSimulation simulation(g, params, /*seed=*/77);
+    simulation.seed_random_infections(10);
+    simulation.set_control_schedule(mode_switching_schedule());
+    for (int s = 0; s < 40; ++s) {
+      simulation.step();
+      SCOPED_TRACE("step " + std::to_string(s));
+      expect_frontier_exact(g, simulation);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(simulation.ever_infected(), 1000u);
+  }
+}
+
+TEST(SimFrontier, SeedAndBlockHandleDuplicatesAndAnyFromState) {
+  // External moves may list a node twice and may find it in any
+  // compartment — re-seeding a recovered node included. Both engines
+  // must agree on the census and on the trajectory that follows, and
+  // the frontier sets must stay exact.
+  const auto g = multi_partition_graph();
+  const auto params = multi_params(0.0, 0.2);
+  auto run = [&](AgentEngine engine) {
+    ThreadCountGuard guard(4);
+    AgentParams p = params;
+    p.engine = engine;
+    auto simulation = std::make_unique<AgentSimulation>(g, p, /*seed=*/5);
+    simulation->seed_infections({3, 70000, 3, 40000, 70000, 3});
+    EXPECT_EQ(simulation->census().infected, 3u);
+    EXPECT_EQ(simulation->ever_infected(), 3u);
+    for (int s = 0; s < 20; ++s) simulation->step();
+    // Block a mix of S, I and R nodes, some listed twice.
+    std::vector<graph::NodeId> block;
+    for (std::size_t v = 0; v < g.num_nodes(); v += 97) {
+      block.push_back(static_cast<graph::NodeId>(v));
+      if (v % 3 == 0) block.push_back(static_cast<graph::NodeId>(v));
+    }
+    simulation->block_nodes(block);
+    // Re-seed recovered nodes (blocked above or by the dynamics),
+    // already-infected ones and susceptibles, with duplicates.
+    std::vector<graph::NodeId> seeds;
+    for (std::size_t v = 0; v < g.num_nodes(); v += 41) {
+      seeds.push_back(static_cast<graph::NodeId>(v));
+    }
+    for (std::size_t v = 0; v < g.num_nodes(); v += 97 * 5) {
+      seeds.push_back(static_cast<graph::NodeId>(v));
+    }
+    const std::size_t ever_before = simulation->ever_infected();
+    std::size_t newly_infected = 0;
+    std::vector<bool> counted(g.num_nodes(), false);
+    for (const graph::NodeId v : seeds) {
+      if (!counted[v] && simulation->state(v) != Compartment::kInfected) {
+        ++newly_infected;
+      }
+      counted[v] = true;
+    }
+    simulation->seed_infections(seeds);
+    EXPECT_EQ(simulation->ever_infected(), ever_before + newly_infected);
+    return simulation;
+  };
+  const auto dense = run(AgentEngine::kDense);
+  const auto frontier = run(AgentEngine::kFrontier);
+  expect_frontier_exact(g, *frontier);
+  const Census a = dense->census(), b = frontier->census();
+  EXPECT_EQ(a.susceptible, b.susceptible);
+  EXPECT_EQ(a.infected, b.infected);
+  EXPECT_EQ(dense->ever_infected(), frontier->ever_infected());
+  for (int s = 0; s < 20; ++s) {
+    dense->step();
+    frontier->step();
+  }
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const auto id = static_cast<graph::NodeId>(v);
+    ASSERT_EQ(dense->state(id), frontier->state(id)) << "node " << v;
+  }
+  expect_frontier_exact(g, *frontier);
+}
+
+// Serial reference of the frontier lists: one slice per partition with
+// swap-remove, fed a step's transitions in record order, each node's
+// own move before its scatter over its CSR neighbors.
+class SerialApplyModel {
+ public:
+  SerialApplyModel(const graph::Graph& g, const AgentSimulation& simulation)
+      : g_(g),
+        span_(simulation.partition_nodes()),
+        count_(g.num_nodes(), 0),
+        state_(g.num_nodes()),
+        active_(g, span_),
+        infected_(g, span_) {
+    for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+      state_[v] = simulation.state(static_cast<graph::NodeId>(v));
+      for (const graph::NodeId u : g.neighbors(static_cast<graph::NodeId>(v))) {
+        if (simulation.state(u) == Compartment::kInfected) ++count_[v];
+      }
+    }
+    for (const graph::NodeId v : simulation.active_nodes()) active_.add(v);
+    for (const graph::NodeId v : simulation.infected_nodes()) infected_.add(v);
+  }
+
+  void move(graph::NodeId v, Compartment to) {
+    const Compartment from = state_[v];
+    if (from == to) return;
+    if (from == Compartment::kSusceptible) active_.remove_if_present(v);
+    if (from == Compartment::kInfected) infected_.remove_if_present(v);
+    if (to == Compartment::kInfected) infected_.add(v);
+    state_[v] = to;
+    if (to != Compartment::kInfected && from != Compartment::kInfected) return;
+    for (const graph::NodeId t : g_.neighbors(v)) {
+      if (to == Compartment::kInfected) {
+        if (++count_[t] == 1 && state_[t] == Compartment::kSusceptible) {
+          active_.add(t);
+        }
+      } else if (--count_[t] == 0) {
+        active_.remove_if_present(t);
+      }
+    }
+  }
+
+  std::vector<graph::NodeId> active() const { return active_.concat(); }
+  std::vector<graph::NodeId> infected() const { return infected_.concat(); }
+
+ private:
+  class Slices {
+   public:
+    Slices(const graph::Graph& g, std::size_t span)
+        : span_(span),
+          slices_((g.num_nodes() + span - 1) / span),
+          pos_(g.num_nodes(), kAbsent) {}
+    void add(graph::NodeId v) {
+      auto& slice = slices_[v / span_];
+      pos_[v] = slice.size();
+      slice.push_back(v);
+    }
+    void remove_if_present(graph::NodeId v) {
+      if (pos_[v] == kAbsent) return;
+      auto& slice = slices_[v / span_];
+      const graph::NodeId last = slice.back();
+      slice[pos_[v]] = last;
+      pos_[last] = pos_[v];
+      slice.pop_back();
+      pos_[v] = kAbsent;
+    }
+    std::vector<graph::NodeId> concat() const {
+      std::vector<graph::NodeId> out;
+      for (const auto& slice : slices_) {
+        out.insert(out.end(), slice.begin(), slice.end());
+      }
+      return out;
+    }
+
+   private:
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
+    std::size_t span_;
+    std::vector<std::vector<graph::NodeId>> slices_;
+    std::vector<std::size_t> pos_;
+  };
+
+  const graph::Graph& g_;
+  std::size_t span_;
+  std::vector<std::uint32_t> count_;
+  std::vector<Compartment> state_;
+  Slices active_, infected_;
+};
+
+TEST(SimFrontier, PartitionReplayFollowsSerialApplyOrder) {
+  // Each partition must replay exactly the serial apply order restricted
+  // to its own nodes — the order that makes the slices' contents and
+  // order a function of the trajectory alone. Steps on both decision
+  // paths and external moves large enough to need several apply rounds
+  // are checked against the serial model, at several thread counts.
+  const auto g = multi_partition_graph();
+  for (const std::size_t threads : {1UL, 3UL, 8UL}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadCountGuard guard(threads);
+    auto params = multi_params(0.0, 0.0);
+    params.engine = AgentEngine::kFrontier;
+    AgentSimulation simulation(g, params, /*seed=*/19);
+    simulation.set_control_schedule(mode_switching_schedule());
+
+    auto check = [&](const SerialApplyModel& model, const char* what) {
+      ASSERT_EQ(simulation.active_nodes(), model.active()) << what;
+      ASSERT_EQ(simulation.infected_nodes(), model.infected()) << what;
+    };
+    auto external = [&](const std::vector<graph::NodeId>& nodes,
+                        Compartment to) {
+      SerialApplyModel model(g, simulation);
+      std::vector<bool> listed(g.num_nodes(), false);
+      for (const graph::NodeId v : nodes) {
+        if (!listed[v]) model.move(v, to);
+        listed[v] = true;
+      }
+      if (to == Compartment::kInfected) {
+        simulation.seed_infections(nodes);
+      } else {
+        simulation.block_nodes(nodes);
+      }
+      check(model, "external move");
+    };
+    auto step = [&] {
+      SerialApplyModel model(g, simulation);
+      const double t = simulation.time();
+      const bool sweep = std::fmod(t, 2.0) >= 1.0;  // ε1 > 0
+      std::vector<Compartment> before(g.num_nodes());
+      for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+        before[v] = simulation.state(static_cast<graph::NodeId>(v));
+      }
+      std::vector<graph::NodeId> visit;
+      if (sweep) {
+        for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+          visit.push_back(static_cast<graph::NodeId>(v));
+        }
+      } else {
+        visit = simulation.active_nodes();
+        const auto infected = simulation.infected_nodes();
+        visit.insert(visit.end(), infected.begin(), infected.end());
+      }
+      simulation.step();
+      for (const graph::NodeId v : visit) {
+        const Compartment after = simulation.state(v);
+        if (after != before[v]) model.move(v, after);
+      }
+      check(model, sweep ? "sweep step" : "sparse step");
+    };
+
+    std::vector<graph::NodeId> seeds = {5, 40001, 70500, 5, 12345};
+    external(seeds, Compartment::kInfected);
+    for (int s = 0; s < 30 && !HasFatalFailure(); ++s) step();
+    // Every second node, some listed twice: more planned ops than one
+    // apply round holds.
+    std::vector<graph::NodeId> many;
+    for (std::size_t v = 0; v < g.num_nodes(); v += 2) {
+      many.push_back(static_cast<graph::NodeId>(v));
+      if (v % 10 == 0) many.push_back(static_cast<graph::NodeId>(v));
+    }
+    if (!HasFatalFailure()) external(many, Compartment::kInfected);
+    for (int s = 0; s < 5 && !HasFatalFailure(); ++s) step();
+    std::vector<graph::NodeId> blocks(many.rbegin(), many.rend());
+    blocks.resize(blocks.size() / 2);
+    if (!HasFatalFailure()) external(blocks, Compartment::kRecovered);
+    for (int s = 0; s < 5 && !HasFatalFailure(); ++s) step();
+    if (HasFatalFailure()) return;
   }
 }
 
