@@ -66,10 +66,10 @@
 // policy in kern.hpp; any build), the FBSM speedup must be ≥4x
 // (optimized builds), and under --baseline the batched FBSM
 // solves/sec may not regress >25%. Case batch_fbsm_b7 runs the first
-// seven problems as one ragged batch, interleaved with all eight (order
-// alternating per rep), both at a fixed FBSM iteration count; the
-// median paired wall ratio B=7 / B=8 must stay ≤1.5 (optimized SIMD
-// builds).
+// seven problems as one batch (padded to a whole vector by the driver),
+// interleaved with all eight (order alternating per rep), both at a
+// fixed FBSM iteration count; the median paired wall ratio B=7 / B=8
+// must stay ≤1.2 (optimized SIMD builds).
 //
 // Suite "stream" (report BENCH_pr10.json): the online streaming
 // control loop (src/stream) on a scripted growth+churn+drift scenario.
@@ -1331,7 +1331,9 @@ int run_batch_suite(const std::string& out_path,
   // Ragged width: the first 7 problems against all 8, FBSM with both
   // tolerances 0 and a fixed iteration cap, so the two widths run the
   // same number of lockstep iterations and the wall ratio is the price
-  // of a 7-lane batch relative to a full one. Interleaved reps, median
+  // of a 7-lane batch relative to a full one. The driver pads the
+  // 7-problem chunk to whole vectors (kern::padded_lanes), so both
+  // sides run the same kernel work. Interleaved reps, median
   // of the paired ratios, as for the speedup above; the reps alternate
   // which width runs first so an order effect cancels, and there are at
   // least nine (each solve takes tens of ms).
@@ -1413,14 +1415,16 @@ int run_batch_suite(const std::string& out_path,
                  fbsm_speedup);
     return 1;
   }
-  // A ragged batch runs its tail lanes in masked vector code; a 7-lane
-  // batch that costs much more than the 8-lane one is on a scalar path.
-  std::printf("batch_fbsm_b7: %.2fx the B=8 wall (ceiling 1.5x)\n",
+  // The driver pads a 7-problem chunk to a whole vector, so it runs
+  // the 8-lane kernels; a ratio well above 1 means a ragged chunk is
+  // back on masked-tail (or scalar) kernel code.
+  std::printf("batch_fbsm_b7: %.2fx the B=8 wall (ceiling 1.2x)\n",
               ragged_ratio);
-  if (ragged_ratio > 1.5) {
+  if (ragged_ratio > 1.2) {
     std::fprintf(stderr,
-                 "bench_driver: FAIL — a 7-lane FBSM batch costs %.2fx the "
-                 "8-lane batch at equal iterations (ceiling 1.5x)\n",
+                 "bench_driver: FAIL — a 7-problem FBSM batch costs %.2fx "
+                 "the 8-problem batch at equal iterations (ceiling 1.2x); "
+                 "it should run padded to the full vector width\n",
                  ragged_ratio);
     return 1;
   }

@@ -110,6 +110,12 @@ class KnotSampler {
 // the constructor and reused across iterations; the iteration loop
 // performs no allocation after the first forward pass fills the
 // trajectory capacities.
+//
+// The chunk's R real problems occupy lanes [0, R); the storage holds
+// L = kern::padded_lanes(R) lanes, and lanes [R, L) carry copies of the
+// last real problem so the batched kernels always see whole vectors.
+// Those padding lanes are born retired: never active, never counted,
+// never reported.
 class ChunkSolver {
  public:
   ChunkSolver(const core::NetworkProfile& profile,
@@ -122,11 +128,12 @@ class ChunkSolver {
         tf_(tf),
         n_(profile.num_groups()),
         m_(options.grid_points),
-        L_(problems.size()),
+        real_(problems.size()),
+        L_(kern::padded_lanes(real_)),
         grid_(util::linspace(0.0, tf, m_)),
         diagonal_(options.diagonal_costate),
         ops_(&kern::ops()),
-        model_(profile, lane_params(problems)) {
+        model_(profile, lane_params(problems, L_)) {
     const double dt = grid_[1] - grid_[0];
     step_dt_ = dt / static_cast<double>(opt_->substeps);
     record_every_ = opt_->substeps;
@@ -141,7 +148,7 @@ class ChunkSolver {
     e1_.resize(L_ * m_);
     e2_.resize(L_ * m_);
     for (std::size_t l = 0; l < L_; ++l) {
-      const BatchProblem& p = problems[l];
+      const BatchProblem& p = problems[std::min(l, real_ - 1)];
       ode::scatter_lane(p.y0.data(), 2 * n_, L_, l, y0_.data());
       c1_[l] = p.cost.c1;
       c2_[l] = p.cost.c2;
@@ -156,16 +163,17 @@ class ChunkSolver {
         e1_[k * L_ + l] = g1;
         e2_[k * L_ + l] = g2;
       }
-      reports_[l].result.grid = grid_;
     }
+    for (BatchSolveReport& report : reports_) report.result.grid = grid_;
     best_e1_ = e1_;
     best_e2_ = e2_;
     best_j_.assign(L_, std::numeric_limits<double>::infinity());
     relax_.assign(L_, opt_->relaxation);
     streak_.assign(L_, 0);
-    active_.assign(L_, 1);
+    active_.assign(L_, 0);
+    std::fill_n(active_.begin(), real_, 1);
     searching_.assign(L_, 0);
-    num_active_ = L_;
+    num_active_ = real_;
 
     ws_.resize(flat, kern::batch_scratch_doubles(n_, L_));
     e1_stage_.resize(3 * L_);
@@ -203,10 +211,12 @@ class ChunkSolver {
 
  private:
   static std::vector<core::ModelParams> lane_params(
-      std::span<const BatchProblem> problems) {
+      std::span<const BatchProblem> problems, std::size_t lanes) {
     std::vector<core::ModelParams> out;
-    out.reserve(problems.size());
-    for (const BatchProblem& p : problems) out.push_back(p.params);
+    out.reserve(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      out.push_back(problems[std::min(l, problems.size() - 1)].params);
+    }
     return out;
   }
 
@@ -392,7 +402,7 @@ class ChunkSolver {
     forward_pass(fe1, fe2, state_);
     if (recompute_costate) backward_pass(state_, fe1, fe2);
     evaluate(state_, fe1, fe2, run_j_.data(), term_j_.data());
-    for (std::size_t l = 0; l < L_; ++l) {
+    for (std::size_t l = 0; l < real_; ++l) {
       SweepResult& r = reports_[l].result;
       r.epsilon1.resize(m_);
       r.epsilon2.resize(m_);
@@ -665,8 +675,8 @@ class ChunkSolver {
     }
 
     std::size_t unconverged = 0;
-    for (std::size_t l = 0; l < L_; ++l) {
-      if (!reports_[l].result.converged && !reports_[l].failed) ++unconverged;
+    for (const BatchSolveReport& report : reports_) {
+      if (!report.result.converged && !report.failed) ++unconverged;
     }
     if (unconverged > 0) {
       util::log_warn() << "solve_optimal_control_batch: " << unconverged
@@ -683,7 +693,9 @@ class ChunkSolver {
   std::span<BatchSolveReport> reports_;
   const SweepOptions* opt_;
   double tf_;
-  std::size_t n_, m_, L_;
+  std::size_t n_, m_;
+  std::size_t real_;  // problems in this chunk: lanes [0, real_)
+  std::size_t L_;     // storage lanes: kern::padded_lanes(real_)
   std::vector<double> grid_;
   bool diagonal_;
   const kern::Ops* ops_;

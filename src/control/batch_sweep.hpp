@@ -20,6 +20,15 @@
 // Retired lanes ride along in the SIMD registers at zero marginal
 // cost; their frozen-control passes are ignored.
 //
+// Padding: a chunk of R problems is stored at kern::padded_lanes(R)
+// lanes, a whole number of the backend's vectors (R itself on scalar),
+// so the batched kernels never run a masked tail. The extra lanes hold
+// copies of the chunk's last problem and are born retired: they are
+// never active, never counted in fbsm.iterations / pg.iterations /
+// control.batch_solves, and never reported — the call returns exactly
+// one report per problem, and each real lane's bits are those it has
+// in any other batch width.
+//
 // Differences from the sequential driver, by design:
 //  * checkpoint_path / resume / keep_going are ignored — a batch is a
 //    short-lived compute kernel, not a preemptible service job.
@@ -60,10 +69,11 @@ struct BatchSolveReport {
 };
 
 /// Solve all `problems` over [0, tf]: chunks of `lanes` problems run
-/// lane-parallel in SIMD, chunks run thread-parallel. `lanes == 0`
-/// picks kern::preferred_batch_lanes(). Supports both SweepAlgorithm
-/// values; see the header comment for the per-lane equivalence and
-/// retirement semantics.
+/// lane-parallel in SIMD (each padded as the header comment says),
+/// chunks run thread-parallel. `lanes == 0` picks
+/// kern::preferred_batch_lanes(). Supports both SweepAlgorithm values;
+/// see the header comment for the per-lane equivalence, retirement and
+/// padding semantics. Returns problems.size() reports, in order.
 std::vector<BatchSolveReport> solve_optimal_control_batch(
     const core::NetworkProfile& profile,
     std::span<const BatchProblem> problems, double tf,

@@ -101,18 +101,25 @@ std::vector<SimulationResult> run_simulation_batch(
   util::parallel_for(std::size_t{0}, num_chunks, /*grain=*/1,
                      [&](std::size_t c) {
     const std::size_t lo = c * batch;
-    const std::size_t lanes = std::min(batch, total - lo);
+    const std::size_t count = std::min(batch, total - lo);
+    // Storage lanes [count, lanes) repeat the chunk's last spec so the
+    // kernels see whole vectors (kern::padded_lanes); only lanes
+    // [0, count) are extracted.
+    const std::size_t lanes = kern::padded_lanes(count);
+    const auto spec = [&](std::size_t l) -> const BatchLaneSpec& {
+      return specs[lo + std::min(l, count - 1)];
+    };
     std::vector<ModelParams> params;
     params.reserve(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) params.push_back(specs[lo + l].params);
+    for (std::size_t l = 0; l < lanes; ++l) params.push_back(spec(l).params);
     const BatchSirModel model(profile, params);
 
     // Constant controls: the stage arrays never change across steps.
     ode::aligned_vector<double> e1(3 * lanes), e2(3 * lanes);
     for (std::size_t s = 0; s < 3; ++s) {
       for (std::size_t l = 0; l < lanes; ++l) {
-        e1[s * lanes + l] = specs[lo + l].epsilon1;
-        e2[s * lanes + l] = specs[lo + l].epsilon2;
+        e1[s * lanes + l] = spec(l).epsilon1;
+        e2[s * lanes + l] = spec(l).epsilon2;
       }
     }
 
@@ -121,7 +128,7 @@ std::vector<SimulationResult> run_simulation_batch(
     ws.resize(flat, kern::batch_scratch_doubles(n, lanes));
     ode::aligned_vector<double> y0(flat);
     for (std::size_t l = 0; l < lanes; ++l) {
-      ode::scatter_lane(specs[lo + l].y0.data(), 2 * n, lanes, l, y0.data());
+      ode::scatter_lane(spec(l).y0.data(), 2 * n, lanes, l, y0.data());
     }
 
     ode::BatchTrajectory traj;
@@ -131,7 +138,7 @@ std::vector<SimulationResult> run_simulation_batch(
                           e1.data(), e2.data(), traj);
 
     ode::State lane_state(2 * n);
-    for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t l = 0; l < count; ++l) {
       SimulationResult& result = results[lo + l];
       result.trajectory.reset(2 * n);
       for (std::size_t k = 0; k < traj.size(); ++k) {

@@ -111,8 +111,10 @@ struct BatchLaneSpec {
 };
 
 /// Batched run_simulation: integrates all specs lane-parallel (chunks
-/// of kern::preferred_batch_lanes() lanes, thread-parallel across
-/// chunks) and rebuilds one SimulationResult per spec — trajectory,
+/// of kern::preferred_batch_lanes() specs, thread-parallel across
+/// chunks; each chunk is stored at kern::padded_lanes() lanes, the
+/// extra ones copies of its last spec that are integrated and
+/// discarded) and rebuilds one SimulationResult per spec — trajectory,
 /// Θ / infected-density / total-infected series, extinction time —
 /// so downstream consumers (elasticity functionals, bifurcation
 /// scans) apply unchanged. Fixed-step RK4 only (options.method must be

@@ -175,6 +175,21 @@ std::size_t preferred_batch_lanes() {
   return 8;
 }
 
+std::size_t padded_lanes(std::size_t count) {
+  std::size_t width = 1;  // doubles per vector register
+  switch (backend()) {
+    case Backend::kScalar:
+      break;
+    case Backend::kAvx2:
+      width = 4;
+      break;
+    case Backend::kAvx512:
+      width = 8;
+      break;
+  }
+  return (count + width - 1) / width * width;
+}
+
 std::string cpu_features() {
   std::string out;
 #if defined(__x86_64__) || defined(_M_X64)

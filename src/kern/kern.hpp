@@ -264,13 +264,25 @@ constexpr std::size_t batch_scratch_doubles(std::size_t n,
   return (10 * n + 2) * lanes + 16;
 }
 
-/// The lane count the resolved backend fills one (or two) vector
-/// registers with: 8 on every x86 backend (one zmm of doubles on
-/// AVX-512, two ymm on AVX2, and a cache-friendly unroll for scalar).
-/// Callers may batch at any lane count: the SIMD kernels mask the last,
-/// partial vector, so a ragged batch costs about what the full batch it
-/// rounds up to costs. Multiples of this value leave no lane idle.
+/// The default number of problems per batched chunk: 8 on every x86
+/// backend (one zmm of doubles on AVX-512, two ymm on AVX2, and a
+/// cache-friendly unroll for scalar). The kernels accept any lane
+/// count, but a ragged one is slow: with a masked last vector a 7-lane
+/// fused RK4 step costs 25–35% more than an 8-lane one on AVX-512 (the
+/// stage combines' vector loads straddle masked stores and miss
+/// store-to-load forwarding). The batch drivers therefore never run one
+/// — see padded_lanes().
 std::size_t preferred_batch_lanes();
+
+/// `count` rounded up to a whole number of the resolved backend's
+/// vectors of doubles: a multiple of 8 on AVX-512, of 4 on AVX2, and
+/// `count` itself on scalar. The batch drivers (control::
+/// solve_optimal_control_batch, core::run_simulation_batch) size each
+/// chunk's lane-interleaved storage at this count and fill the extra
+/// lanes with copies of the chunk's last problem, so no production
+/// batch ever runs a masked tail. Per-lane arithmetic does not depend
+/// on the lane count, so the padding changes no real lane's bits.
+std::size_t padded_lanes(std::size_t count);
 
 /// True when the backend's code was compiled into this binary (CMake
 /// probes the compiler for -mavx2 / -mavx512f; non-x86 builds carry

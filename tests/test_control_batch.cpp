@@ -22,6 +22,7 @@
 
 #include "control/fbsweep.hpp"
 #include "kern/kern.hpp"
+#include "obs/metrics.hpp"
 
 namespace rumor::control {
 namespace {
@@ -159,6 +160,72 @@ void expect_lane_independent_of_batch_width(const SweepAlgorithm algorithm) {
     const auto single = solve(p, p + 1);
     expect_same_lane(single[0], reference(p), 1, p);
   }
+}
+
+// The driver stores each chunk at kern::padded_lanes() lanes, the extra
+// ones born-retired copies of the chunk's last problem. At widths 1, 7
+// and 9 under the default chunk size (chunks 1, 7, and 8 + 1) the
+// padding must be invisible: one report per problem, each bitwise equal
+// to the problem's lane inside a full 8-lane batch, and the iteration
+// and batch-solve counters advanced by the real lanes alone.
+void expect_padding_invisible(const SweepAlgorithm algorithm) {
+  constexpr std::size_t kFull = 8;
+  const auto profile = small_profile();
+  const auto problems = divergent_problems(kFull + 1);
+  SweepOptions options = fast_options();
+  options.algorithm = algorithm;
+  const double tf = 30.0;
+  const auto solve = [&](std::size_t lo, std::size_t hi) {
+    const std::vector<BatchProblem> chunk(problems.begin() + lo,
+                                          problems.begin() + hi);
+    return solve_optimal_control_batch(profile, chunk, tf, options);
+  };
+  const auto full_lo = solve(0, kFull);
+  const auto full_hi = solve(1, kFull + 1);
+  const auto reference = [&](std::size_t p) -> const BatchSolveReport& {
+    return p < kFull ? full_lo[p] : full_hi[p - 1];
+  };
+
+  obs::Registry& registry = obs::metrics();
+  const obs::Counter& iterations = registry.counter(
+      algorithm == SweepAlgorithm::kProjectedGradient ? "pg.iterations"
+                                                      : "fbsm.iterations");
+  const obs::Counter& solves = registry.counter("control.batch_solves");
+  for (const std::size_t width :
+       {std::size_t{1}, std::size_t{7}, std::size_t{9}}) {
+    const std::uint64_t iterations_before = iterations.value();
+    const std::uint64_t solves_before = solves.value();
+    const auto batched = solve(0, width);
+    const std::uint64_t counted = iterations.value() - iterations_before;
+    ASSERT_EQ(batched.size(), width);
+    std::uint64_t reported = 0;
+    for (std::size_t p = 0; p < width; ++p) {
+      expect_same_lane(batched[p], reference(p), width, p);
+      reported += batched[p].result.iterations;
+    }
+    EXPECT_EQ(counted, reported) << "width " << width;
+    EXPECT_EQ(solves.value() - solves_before, width) << "width " << width;
+  }
+}
+
+TEST(ControlBatch, PaddedLanesFollowTheBackendVectorWidth) {
+  std::size_t width = 1;  // the scalar backend pads nothing
+  if (kern::backend() == kern::Backend::kAvx2) width = 4;
+  if (kern::backend() == kern::Backend::kAvx512) width = 8;
+  for (std::size_t count = 1; count <= 17; ++count) {
+    const std::size_t padded = kern::padded_lanes(count);
+    EXPECT_EQ(padded % width, 0u) << "count " << count;
+    EXPECT_GE(padded, count);
+    EXPECT_LT(padded - count, width) << "count " << count;
+  }
+}
+
+TEST(ControlBatch, FbsmPaddedLanesAreInvisible) {
+  expect_padding_invisible(SweepAlgorithm::kForwardBackward);
+}
+
+TEST(ControlBatch, PgPaddedLanesAreInvisible) {
+  expect_padding_invisible(SweepAlgorithm::kProjectedGradient);
 }
 
 TEST(ControlBatch, FbsmLanesDivergeAndMatchSequential) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "core/batch_sim.hpp"
 #include "core/threshold.hpp"
 #include "util/error.hpp"
 
@@ -239,6 +242,63 @@ TEST(RunSimulation, AdaptiveAliasStillSelectsDopri5) {
   EXPECT_EQ(a.trajectory.size(), b.trajectory.size());
   EXPECT_DOUBLE_EQ(a.trajectory.back_state()[0],
                    b.trajectory.back_state()[0]);
+}
+
+// run_simulation_batch stores each chunk at kern::padded_lanes() lanes,
+// the extra ones copies of its last spec. Six specs (the multistart
+// screen's default start count; one padded chunk) and nine (a full
+// chunk plus a one-spec chunk) must each return one result per spec,
+// bitwise equal to the same specs' results inside a 16-spec call whose
+// two chunks are full.
+TEST(RunSimulationBatch, PaddedLanesAreInvisible) {
+  const auto profile = NetworkProfile::from_pmf({1.0, 3.0, 8.0},
+                                                {0.6, 0.3, 0.1});
+  std::vector<BatchLaneSpec> specs(16);
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    const double x = static_cast<double>(k);
+    ModelParams params;
+    params.alpha = 0.02 + 0.005 * x;
+    params.lambda = Acceptance::linear(0.6 + 0.1 * x);
+    params.omega = Infectivity::saturating(0.5, 0.5);
+    specs[k].params = params;
+    specs[k].epsilon1 = 0.01 * x;
+    specs[k].epsilon2 = 0.05 + 0.01 * x;
+    const SirNetworkModel model(profile, params,
+                                make_constant_control(0.0, 0.0));
+    specs[k].y0 = model.initial_state(0.01 + 0.002 * x);
+  }
+  SimulationOptions options;
+  options.t1 = 20.0;
+  options.dt = 0.1;
+  options.extinction_threshold = 1e-3;
+  const auto reference = run_simulation_batch(profile, specs, options);
+  ASSERT_EQ(reference.size(), specs.size());
+
+  for (const std::size_t count : {std::size_t{6}, std::size_t{9}}) {
+    const std::vector<BatchLaneSpec> head(specs.begin(),
+                                          specs.begin() + count);
+    const auto results = run_simulation_batch(profile, head, options);
+    ASSERT_EQ(results.size(), count);
+    for (std::size_t k = 0; k < count; ++k) {
+      const SimulationResult& got = results[k];
+      const SimulationResult& want = reference[k];
+      ASSERT_EQ(got.trajectory.size(), want.trajectory.size());
+      EXPECT_EQ(got.trajectory.times(), want.trajectory.times());
+      for (std::size_t i = 0; i < want.trajectory.size(); ++i) {
+        const auto a = got.trajectory.state(i);
+        const auto b = want.trajectory.state(i);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << "spec " << k << " of " << count << ", sample " << i;
+      }
+      EXPECT_EQ(got.theta, want.theta) << "spec " << k << " of " << count;
+      EXPECT_EQ(got.infected_density, want.infected_density)
+          << "spec " << k << " of " << count;
+      EXPECT_EQ(got.total_infected, want.total_infected)
+          << "spec " << k << " of " << count;
+      EXPECT_EQ(got.extinction_time, want.extinction_time)
+          << "spec " << k << " of " << count;
+    }
+  }
 }
 
 }  // namespace

@@ -278,8 +278,10 @@ TEST_F(ServeCacheTest, ConcurrentGetsAndEvictionsStayConsistent) {
   std::vector<std::size_t> nodes;
   for (int k = 0; k < kKeys; ++k) {
     nodes.push_back(40 + 10 * static_cast<std::size_t>(k));
-    paths.push_back(
-        make_graph("g" + std::to_string(k) + ".bin", nodes.back()));
+    std::string name = "g";
+    name += std::to_string(k);
+    name += ".bin";
+    paths.push_back(make_graph(name, nodes.back()));
   }
 
   constexpr int kThreads = 6;
